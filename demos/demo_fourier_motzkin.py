@@ -40,4 +40,4 @@ print()
 print("everything above ran in exact rational arithmetic: each elimination")
 print("pairs every lower bound with every upper bound, which is why row")
 print("counts can explode and why a hard row cap guards the engine")
-print("(environment variable SPARSE_CLOSURE_ROW_CAP).")
+print("(the row_cap argument; `sparse-closure project --row-cap` on the command line).")

@@ -1,7 +1,10 @@
 """Command line entry points.
 
 Subcommands: check, train-lu, gen-dataset, emit-smt, project.
-Exit codes for `check`: 0 closed, 1 not closed, 2 unknown, 3 parse failure.
+Exit codes: 0 success (for `check`: closed), 1 not closed and 2 unknown
+(`check` only), 3 an input file that cannot be read or parsed, 4 a bad
+argument, an exceeded grid cap or an unwritable output, 5 the
+Fourier-Motzkin row cap.  `main` maps every failure to one of them.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from .closure import (
     witness_to_json,
 )
 from .datasets import build_bad_dataset, write_dataset
+from .inputs import InputError, load_input, load_matrix
 from .patterns import is_lu_pattern, load_pattern
-from .polyhedra import RowCapExceeded, eliminate_variable
+from .polyhedra import DEFAULT_ROW_CAP, RowCapExceeded, eliminate_variable
 from .polyhedra import load as load_polyhedron
 from .polyhedra import save as save_polyhedron
-from .rational import matrix
 from .smt import emit_qe_sentence
 
 EXIT_CLOSED = 0
@@ -34,8 +37,15 @@ EXIT_USAGE = 4
 EXIT_ROW_CAP = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, which `check` reserves for unknown
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparse-closure",
         description="closedness checks, pathological datasets and divergence "
         "experiments for fixed-support factorizations",
@@ -89,17 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     project.add_argument("--keep", required=True,
                          help="comma-separated 1-based variable indices to keep")
     project.add_argument("--out", required=True)
-    project.add_argument("--row-cap", type=int, default=None,
-                         help="override the SPARSE_CLOSURE_ROW_CAP limit")
+    project.add_argument("--row-cap", type=int, default=DEFAULT_ROW_CAP,
+                         help="most rows one elimination may produce")
     return parser
 
 
 def cmd_check(args) -> int:
-    try:
-        pattern = load_pattern(args.pattern)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse pattern: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    pattern = load_input(load_pattern, args.pattern)
     verdict = closedness_verdict(pattern, smt_path=args.emit_smt)
     payload = {
         "status": verdict.status.value,
@@ -169,23 +175,15 @@ def cmd_train_lu(args) -> int:
 
 
 def cmd_gen_dataset(args) -> int:
-    try:
-        pattern = load_pattern(args.pattern)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse pattern: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    pattern = load_input(load_pattern, args.pattern)
     if args.a is not None:
-        with open(args.a) as fh:
-            target = matrix(json.load(fh))
+        target = load_input(load_matrix, args.a)
     elif is_lu_pattern(pattern) and pattern.dims[0] >= 2:
         target = closure_gap_witness_lu(pattern.dims[0])
     else:
-        print(
-            "error: no gap witness is known for this pattern; pass --a with an "
-            "explicit target matrix",
-            file=sys.stderr,
+        raise ValueError(
+            "no gap witness is known for this pattern; pass --a with an explicit target matrix"
         )
-        return EXIT_USAGE
     dataset, p = build_bad_dataset(
         target, pattern, p_override=args.p, point_cap=args.point_cap
     )
@@ -197,11 +195,7 @@ def cmd_gen_dataset(args) -> int:
 
 
 def cmd_emit_smt(args) -> int:
-    try:
-        pattern = load_pattern(args.pattern)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse pattern: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    pattern = load_input(load_pattern, args.pattern)
     stats = emit_qe_sentence(pattern, args.out)
     print(
         json.dumps(
@@ -217,23 +211,17 @@ def cmd_emit_smt(args) -> int:
 
 
 def cmd_project(args) -> int:
-    poly = load_polyhedron(args.input)
+    if args.row_cap < 1:
+        raise ValueError(f"--row-cap must be positive, got {args.row_cap}")
+    poly = load_input(load_polyhedron, args.input)
     keep = sorted({int(tok) - 1 for tok in args.keep.split(",") if tok.strip()})
     if not keep or any(not (0 <= k < poly.num_vars) for k in keep):
-        print(
-            f"error: --keep must name 1-based variables within 1..{poly.num_vars}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError(f"--keep must name 1-based variables within 1..{poly.num_vars}")
     eliminate = [i for i in range(poly.num_vars) if i not in keep]
     before = poly.num_rows
-    try:
-        # eliminate from the highest index so remaining indices stay valid
-        for idx in sorted(eliminate, reverse=True):
-            poly = eliminate_variable(poly, idx, row_cap=args.row_cap)
-    except RowCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ROW_CAP
+    # eliminate from the highest index so remaining indices stay valid
+    for idx in sorted(eliminate, reverse=True):
+        poly = eliminate_variable(poly, idx, row_cap=args.row_cap)
     save_polyhedron(poly, args.out)
     print(f"rows before: {before}, rows after: {poly.num_rows}")
     return 0
@@ -248,7 +236,17 @@ def main(argv=None) -> int:
         "emit-smt": cmd_emit_smt,
         "project": cmd_project,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except InputError as exc:
+        failure, code = exc, EXIT_PARSE_ERROR
+    except RowCapExceeded as exc:
+        failure, code = exc, EXIT_ROW_CAP
+    except (ValueError, OSError) as exc:
+        # a bad argument value or grid cap (TooManyPoints), or an unwritable output
+        failure, code = exc, EXIT_USAGE
+    print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

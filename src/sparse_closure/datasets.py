@@ -115,7 +115,7 @@ def find_free_hypercube(planes, resolution: int, dimension: int):
 
     Guaranteed to exist when resolution >= 3 * dimension * len(planes); a
     FreeCubeNotFound below that threshold is a legitimate outcome, above it
-    it would be a bug and asserts instead.
+    it would be a bug and raises RuntimeError instead.
     """
     if resolution < 1:
         raise ValueError("resolution must be positive")
@@ -125,9 +125,10 @@ def find_free_hypercube(planes, resolution: int, dimension: int):
         if cube_is_free(planes, base, p):
             return base
     guaranteed = 3 * dimension * len(planes)
-    assert p < guaranteed, (
-        f"no free cube at resolution {p} >= 3*N*H = {guaranteed}: counting bound violated"
-    )
+    if p >= guaranteed:
+        raise RuntimeError(
+            f"no free cube at resolution {p} >= 3*N*H = {guaranteed}: counting bound violated"
+        )
     raise FreeCubeNotFound(
         f"no free cube at resolution {p} (< 3*N*H = {guaranteed}); increase the resolution"
     )

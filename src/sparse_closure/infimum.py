@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import SparseFactors, SupportPattern
+from .patterns import SparseFactors, SupportPattern, chain_product
 
 _NORM_GUARD = 1e13  # beyond this, least squares conditioning is gone
 _STALL_ROUNDS = 12
@@ -91,36 +91,32 @@ def infimum_oracle(
 
 
 def _distance(A, xs) -> float:
-    prod = xs[-1]
-    for x in reversed(xs[:-1]):
-        prod = prod @ x
-    return float(np.linalg.norm(A - prod))
+    return float(np.linalg.norm(A - chain_product(xs)))
 
 
 def _max_norm(xs) -> float:
     return max(float(np.linalg.norm(x)) for x in xs)
 
 
-def _sweep(A, xs, masks, mask_entries):
+def _design(xs, i, rows, cols, shape):
+    """Coefficients of the masked entries X_i[rows, cols] in the product, as
+    an (entries of the product, len(rows)) block: the product is linear in X_i."""
+    # products around factor i (identity when empty)
+    left = chain_product([*xs[i + 1 :], np.eye(shape[0])])
+    right = chain_product([np.eye(shape[1]), *xs[:i]])
+    # coefficient of X_i[r, c] in entry (p, q) is left[p, r] * right[c, q]
+    return (left[:, rows][:, None, :] * right[cols, :].T[None, :, :]).reshape(
+        shape[0] * shape[1], len(rows)
+    )
+
+
+def _sweep(A, xs, mask_entries):
     """One pass of masked least-squares updates, first factor to last."""
-    xs = [x.copy() for x in xs]
-    depth = len(xs)
-    for i in range(depth):
-        rows, cols = mask_entries[i]
+    xs = list(xs)
+    for i, (rows, cols) in enumerate(mask_entries):
         if len(rows) == 0:
             continue
-        # products around factor i (identity when empty)
-        left = np.eye(A.shape[0])
-        for x in reversed(xs[i + 1 :]):
-            left = left @ x
-        right = np.eye(A.shape[1])
-        for x in xs[:i]:
-            right = x @ right
-        # coefficient of X_i[r, c] in entry (p, q) is left[p, r] * right[c, q]
-        design = (left[:, rows][:, None, :] * right[cols, :].T[None, :, :]).reshape(
-            A.size, len(rows)
-        )
-        sol, *_ = np.linalg.lstsq(design, A.reshape(-1), rcond=None)
+        sol, *_ = np.linalg.lstsq(_design(xs, i, rows, cols, A.shape), A.reshape(-1), rcond=None)
         xs[i] = np.zeros_like(xs[i])
         xs[i][rows, cols] = sol
     return xs
@@ -135,7 +131,7 @@ def _descend(A, xs, masks, mask_entries, budget):
     last_best = dist
     while used + depth <= budget:
         prev = xs
-        xs = _sweep(A, xs, masks, mask_entries)
+        xs = _sweep(A, xs, mask_entries)
         used += depth
         dist = _distance(A, xs)
         seen = max(seen, _max_norm(xs))
@@ -153,7 +149,7 @@ def _descend(A, xs, masks, mask_entries, budget):
                 (x * np.exp(np.clip(lr * power, -700.0, 700.0))) * m
                 for x, lr, m in zip(xs, log_ratios, masks)
             ]
-            cand = _sweep(A, cand, masks, mask_entries)
+            cand = _sweep(A, cand, mask_entries)
             used += depth
             cand_dist = _distance(A, cand)
             if np.isfinite(cand_dist) and cand_dist < dist and _max_norm(cand) < _NORM_GUARD:
@@ -192,35 +188,17 @@ def _polish(A, xs, mask_entries, budget):
         return out
 
     def residual(vec):
-        fs = unpack(vec)
-        prod = fs[-1]
-        for x in reversed(fs[:-1]):
-            prod = prod @ x
-        return (prod - A).ravel()
+        return (chain_product(unpack(vec)) - A).ravel()
 
     def jacobian(vec):
         fs = unpack(vec)
-        jac = np.empty((A.size, offsets[-1]))
-        for i in range(depth):
-            rows, cols = mask_entries[i]
-            if len(rows) == 0:
-                continue
-            left = np.eye(A.shape[0])
-            for x in reversed(fs[i + 1 :]):
-                left = left @ x
-            right = np.eye(A.shape[1])
-            for x in fs[:i]:
-                right = x @ right
-            jac[:, offsets[i] : offsets[i + 1]] = (
-                left[:, rows][:, None, :] * right[cols, :].T[None, :, :]
-            ).reshape(A.size, len(rows))
-        return jac
+        return np.hstack(
+            [_design(fs, i, rows, cols, A.shape) for i, (rows, cols) in enumerate(mask_entries)]
+        )
 
-    x0 = np.concatenate(
-        [x[rows, cols] for x, (rows, cols) in zip(xs, mask_entries)]
-    ) if offsets[-1] else np.zeros(0)
-    if x0.size == 0:
+    if offsets[-1] == 0:
         return _distance(A, xs), xs
+    x0 = np.concatenate([x[rows, cols] for x, (rows, cols) in zip(xs, mask_entries)])
     fit = least_squares(
         residual,
         x0,

@@ -8,12 +8,13 @@ format is 1-based and is converted exactly once, in the parser.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rational import RationalMatrix, as_fraction
+from .rational import matmul, matrix
 
 Mask = frozenset[tuple[int, int]]
 
@@ -242,6 +243,18 @@ def _entry(f, r: int, c: int):
     return f[r][c]
 
 
+def chain_product(mats, mul=operator.matmul):
+    """mats[-1] @ ... @ mats[0] on raw matrices, accumulated from the left.
+
+    No validation: this is the inner-loop form behind product and the
+    infimum search.  Pass mul=rational.matmul for exact rational matrices.
+    """
+    out = mats[-1]
+    for m in reversed(mats[:-1]):
+        out = mul(out, m)
+    return out
+
+
 def product(factors: SparseFactors):
     """Multiply the factors last-to-first: returns an N_L x N_0 matrix.
 
@@ -249,26 +262,9 @@ def product(factors: SparseFactors):
     """
     mats = list(factors.factors)
     if all(isinstance(m, np.ndarray) and m.dtype != object for m in mats):
-        out = mats[-1]
-        for m in reversed(mats[:-1]):
-            out = out @ m
-        return out
-    rows = [_to_rational(m) for m in mats]
-    out = rows[-1]
-    for m in reversed(rows[:-1]):
-        out = _rational_matmul(out, m)
-    return out
-
-
-def _to_rational(m) -> RationalMatrix:
-    if isinstance(m, np.ndarray):
-        return tuple(tuple(as_fraction(x) for x in row) for row in m.tolist())
-    return tuple(tuple(as_fraction(x) for x in row) for row in m)
-
-
-def _rational_matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+        return chain_product(mats)
+    rows = [matrix(m.tolist() if isinstance(m, np.ndarray) else m) for m in mats]
+    return chain_product(rows, matmul)
 
 
 def masked_factors(pattern: SupportPattern, arrays: Sequence[np.ndarray]) -> SparseFactors:

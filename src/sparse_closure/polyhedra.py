@@ -2,8 +2,8 @@
 
 A polyhedron is {z : Cz <= y} with C and y rational.  Variable elimination
 pairs every lower bound with every upper bound, so row counts can explode
-doubly exponentially; a hard row cap (env SPARSE_CLOSURE_ROW_CAP) makes the
-engine fail loudly instead of thrashing.  Only non-strict inequalities are
+doubly exponentially; a hard row cap (the row_cap argument) makes the engine
+fail loudly instead of thrashing.  Only non-strict inequalities are
 supported: the sets this engine exists for are closed.
 """
 
@@ -11,28 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import as_fraction, format_fraction
 
 DEFAULT_ROW_CAP = 100_000
-ROW_CAP_ENV = "SPARSE_CLOSURE_ROW_CAP"
 
 
 class RowCapExceeded(RuntimeError):
     """Raised when an elimination step would exceed the configured row cap."""
-
-
-def row_cap_from_env() -> int:
-    raw = os.environ.get(ROW_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ROW_CAP
-    cap = int(raw)
-    if cap <= 0:
-        raise ValueError(f"{ROW_CAP_ENV} must be positive, got {raw}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -117,7 +105,7 @@ def _normalize(num_vars: int, raw_rows) -> RationalPolyhedron:
 
 
 def eliminate_variable(
-    poly: RationalPolyhedron, idx: int, row_cap: int | None = None
+    poly: RationalPolyhedron, idx: int, row_cap: int = DEFAULT_ROW_CAP
 ) -> RationalPolyhedron:
     """Project out variable idx (0-based): the result contains t iff some
     value of the eliminated coordinate satisfies all constraints.
@@ -130,8 +118,6 @@ def eliminate_variable(
         raise ValueError(f"variable index {idx} out of range for {poly.num_vars} variables")
     if poly.num_vars == 1:
         raise ValueError("cannot eliminate the last remaining variable")
-    cap = row_cap_from_env() if row_cap is None else row_cap
-
     zero, pos, neg = [], [], []
     for row, b in zip(poly.rows, poly.rhs):
         coeff = row[idx]
@@ -143,10 +129,10 @@ def eliminate_variable(
         else:
             neg.append((coeff, rest, b))
 
-    if len(zero) + len(pos) * len(neg) > cap:
+    if len(zero) + len(pos) * len(neg) > row_cap:
         raise RowCapExceeded(
             f"elimination would produce {len(zero) + len(pos) * len(neg)} rows "
-            f"(cap {cap}); raise {ROW_CAP_ENV} to override"
+            f"(cap {row_cap}); raise the row cap to allow it"
         )
 
     combined = list(zero)
@@ -248,7 +234,7 @@ def affine_image_set(matrix, base: RationalPolyhedron) -> AffineImageSet:
     )
 
 
-def affine_image(img: AffineImageSet, row_cap: int | None = None) -> RationalPolyhedron:
+def affine_image(img: AffineImageSet, row_cap: int = DEFAULT_ROW_CAP) -> RationalPolyhedron:
     """Halfspace description of the image: introduce t = Az as two
     inequalities per output, stack the base constraints, then eliminate all
     original variables."""

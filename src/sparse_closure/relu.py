@@ -54,6 +54,15 @@ def init_params(pattern: SupportPattern, rng: np.random.Generator, scale: float 
     return params
 
 
+def _preactivations(params: NetworkParams, x: np.ndarray) -> list[np.ndarray]:
+    """Pre-activations z_1, ..., z_L of a batch x of shape (N_0, P), each of
+    shape (N_i, P).  ReLU applies between layers; z_L is the output."""
+    zs = [params.weights[0] @ x + params.biases[0][:, None]]
+    for w, b in zip(params.weights[1:], params.biases[1:]):
+        zs.append(w @ np.maximum(zs[-1], 0.0) + b[:, None])
+    return zs
+
+
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Network output for a single input (N_0,) or a batch (N_0, P).
 
@@ -66,13 +75,8 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
             f"input must be ({params.pattern.input_dim},) or "
             f"({params.pattern.input_dim}, P), got shape {a.shape}"
         )
-    h = a if not single else a[:, None]
-    depth = params.pattern.depth
-    for i in range(depth):
-        h = params.weights[i] @ h + params.biases[i][:, None]
-        if i < depth - 1:
-            h = np.maximum(h, 0.0)
-    return h[:, 0] if single else h
+    out = _preactivations(params, a[:, None] if single else a)[-1]
+    return out[:, 0] if single else out
 
 
 def activation_pattern(params: NetworkParams, x: np.ndarray):
@@ -81,17 +85,9 @@ def activation_pattern(params: NetworkParams, x: np.ndarray):
     A preactivation of exactly zero counts as inactive and raises the
     boundary flag; the Jacobian is not unique there.
     """
-    a = np.asarray(x, dtype=float)
-    diags = []
-    boundary = False
-    h = a
-    for i in range(params.pattern.depth - 1):
-        z = params.weights[i] @ h + params.biases[i]
-        boundary = boundary or bool(np.any(z == 0.0))
-        active = z > 0.0
-        diags.append(active.astype(float))
-        h = np.maximum(z, 0.0)
-    return diags, boundary
+    hidden = [z[:, 0] for z in _preactivations(params, np.asarray(x, dtype=float)[:, None])[:-1]]
+    boundary = any(bool(np.any(z == 0.0)) for z in hidden)
+    return [(z > 0.0).astype(float) for z in hidden], boundary
 
 
 def jacobian_at(params: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -127,15 +123,8 @@ def loss_and_grad(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray
     if x.shape[1] == 0:
         raise ValueError("empty batch")
     depth = params.pattern.depth
-    pre = []
-    h = x
-    acts = [x]
-    for i in range(depth):
-        z = params.weights[i] @ h + params.biases[i][:, None]
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < depth - 1 else z
-        acts.append(h)
-    residual = acts[-1] - y
+    pre = _preactivations(params, x)
+    residual = pre[-1] - y
     denom = y.size
     loss = float(np.sum(residual**2) / denom)
 
@@ -143,7 +132,8 @@ def loss_and_grad(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray
     b_grads = [None] * depth
     delta = 2.0 * residual / denom
     for i in reversed(range(depth)):
-        w_grads[i] = (delta @ acts[i].T) * params.mask_arrays[i]
+        layer_input = np.maximum(pre[i - 1], 0.0) if i > 0 else x
+        w_grads[i] = (delta @ layer_input.T) * params.mask_arrays[i]
         b_grads[i] = delta.sum(axis=1)
         if i > 0:
             delta = (params.weights[i].T @ delta) * (pre[i - 1] > 0.0)
@@ -258,8 +248,8 @@ def train(
     """Epoch loop of shuffled minibatch SGD; params are updated in place.
 
     Metrics are recorded on the full dataset after every epoch.  If any
-    weight norm passes the divergence guard the trace is flagged and
-    training halts cleanly.
+    weight norm is non-finite or passes the divergence guard the trace is
+    flagged and training halts cleanly.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -279,7 +269,8 @@ def train(
         trace.rel_jacobian.append(rel_jac)
         trace.w1_norms.append(w1)
         trace.w2_norms.append(w2)
-        if max(w1, w2) > DIVERGENCE_NORM:
+        # NaN compares false, so non-finite norms trip the guard as well
+        if not (w1 <= DIVERGENCE_NORM and w2 <= DIVERGENCE_NORM):
             trace.diverged = True
             break
     return trace

@@ -81,8 +81,8 @@ def emit_qe_sentence(pattern: SupportPattern, out_path) -> QeSentenceStats:
     """Write the sentence to out_path and return its shape statistics.
 
     The statistics are recomputed from the emitted text (declared constants
-    plus quantifier-bound variables) and asserted against the closed-form
-    count before returning.
+    plus quantifier-bound variables) and checked against the closed-form
+    count before returning; a mismatch raises RuntimeError.
     """
     a_vars = [
         f"a_{i + 1}_{j + 1}"
@@ -125,9 +125,8 @@ def emit_qe_sentence(pattern: SupportPattern, out_path) -> QeSentenceStats:
         num_variables=count_variables(text),
     )
     expected = expected_variable_count(pattern)
-    assert stats.num_variables == expected, (
-        f"emitted {stats.num_variables} variables, formula gives {expected}"
-    )
+    if stats.num_variables != expected:
+        raise RuntimeError(f"emitted {stats.num_variables} variables, formula gives {expected}")
     return stats
 
 

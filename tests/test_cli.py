@@ -192,6 +192,66 @@ class TestTrainLu:
         assert agg.read_text().splitlines()[0].startswith("epoch,rel_empirical_mean")
 
 
+# Failures that must leave through the documented exit codes.  "{tmp}" is the
+# test's scratch directory, which holds the input files written below; "file"
+# in it is a regular file, so paths under it cannot be created.
+FAILURES = [
+    ("check-dims-not-a-list", ["check", "--pattern", "{tmp}/dims5.json"], 3),
+    ("check-masks-not-a-list", ["check", "--pattern", "{tmp}/masks5.json"], 3),
+    ("check-unwritable-out", ["check", "--pattern", "{tmp}/lu2.json", "--out", "{tmp}/file/v.json"], 4),
+    ("check-bad-budget", ["check", "--pattern", "{tmp}/lu2.json", "--verify-witness", "--budget", "0"], 4),
+    ("check-non-integer-option", ["check", "--pattern", "{tmp}/lu2.json", "--budget", "abc"], 4),
+    ("gen-dataset-bad-pattern", ["gen-dataset", "--pattern", "{tmp}/dims5.json", "--out", "{tmp}/d"], 3),
+    ("gen-dataset-bad-a-json", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/bad.json",
+                                "--out", "{tmp}/d"], 3),
+    ("gen-dataset-point-cap", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--p", "4",
+                               "--point-cap", "10", "--out", "{tmp}/d"], 4),
+    ("emit-smt-bad-pattern", ["emit-smt", "--pattern", "{tmp}/masks5.json", "--out", "{tmp}/s.smt2"], 3),
+    ("emit-smt-unwritable-out", ["emit-smt", "--pattern", "{tmp}/lu2.json", "--out", "{tmp}/file/s.smt2"], 4),
+    ("project-missing", ["project", "--input", "{tmp}/nope.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
+    ("project-not-json", ["project", "--input", "{tmp}/bad.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
+    ("project-malformed", ["project", "--input", "{tmp}/dims5.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
+    ("project-bad-keep-token", ["project", "--input", "{tmp}/square.json", "--keep", "1,x",
+                                "--out", "{tmp}/o.json"], 4),
+    ("project-non-positive-row-cap", ["project", "--input", "{tmp}/square.json", "--keep", "1",
+                                      "--row-cap", "0", "--out", "{tmp}/o.json"], 4),
+    ("project-row-cap", ["project", "--input", "{tmp}/square.json", "--keep", "1",
+                         "--row-cap", "1", "--out", "{tmp}/o.json"], 5),
+    ("project-unwritable-out", ["project", "--input", "{tmp}/square.json", "--keep", "1",
+                                "--out", "{tmp}/file/o.json"], 4),
+    ("train-lu-short-of-one-batch", ["train-lu", "--d", "2", "--samples", "10", "--batch-size", "20",
+                                     "--out", "{tmp}/t"], 4),
+    ("train-lu-unwritable-out", ["train-lu", "--d", "2", "--samples", "20", "--batch-size", "10",
+                                 "--epochs", "1", "--runs", "1", "--workers", "1",
+                                 "--out", "{tmp}/file/t"], 4),
+]
+
+
+@pytest.mark.parametrize("argv, code", [case[1:] for case in FAILURES], ids=[case[0] for case in FAILURES])
+def test_failure_exit_codes(tmp_path, argv, code):
+    (tmp_path / "dims5.json").write_text(json.dumps({"dims": 5, "masks": []}))
+    (tmp_path / "masks5.json").write_text(json.dumps({"dims": [2, 2], "masks": 5}))
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "file").write_text("")
+    write_pattern(tmp_path / "lu2.json", lu_pattern(2))
+    (tmp_path / "square.json").write_text(json.dumps({
+        "num_vars": 2,
+        "C": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]],
+        "y": ["1", "0", "1", "0"],
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparse_closure.cli", *(a.format(tmp=tmp_path) for a in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+    if argv[0] == "check":
+        # 0, 1 and 2 are verdicts; a failure must never read as one
+        assert proc.returncode not in (0, 1, 2)
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, lu2_file):
         proc = subprocess.run(

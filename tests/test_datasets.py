@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sparse_closure import datasets
 from sparse_closure.closure import closure_gap_witness_lu
 from sparse_closure.datasets import (
     FreeCubeNotFound,
@@ -78,6 +79,14 @@ class TestFreeHypercube:
         plane = hyperplane([1], Fraction(-1, 2))
         with pytest.raises(FreeCubeNotFound):
             find_free_hypercube([plane], 1, 1)
+
+    def test_counting_bound_violation_raises(self, monkeypatch):
+        # at the guaranteed resolution a free cube must exist; a missing one is
+        # a defect, reported by an exception that python -O does not strip
+        monkeypatch.setattr(datasets, "cube_is_free", lambda planes, base, p: False)
+        plane = hyperplane([1], Fraction(-1, 2))
+        with pytest.raises(RuntimeError, match="counting bound violated"):
+            find_free_hypercube([plane], 3, 1)
 
     def test_edge_count_per_cube(self):
         base = (Fraction(0), Fraction(0), Fraction(0))

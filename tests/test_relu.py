@@ -513,6 +513,18 @@ class TestTrain:
         assert trace.diverged is True
         assert len(trace) < 50
 
+    def test_non_finite_weight_trips_guard(self):
+        pattern = lu_pattern(3)
+        config = TrainingConfig(batch_size=8, epochs=5, seed=0)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, size=(3, 32))
+        a = np.fliplr(np.eye(3))
+        params = init_params(pattern, rng)
+        params.weights[0][0, 0] = np.nan
+        trace = train(params, x, a @ x, a, config, rng)
+        assert trace.diverged is True
+        assert len(trace) == 1
+
     def test_trace_csv_format(self, tmp_path):
         pattern = lu_pattern(2)
         config = TrainingConfig(batch_size=4, epochs=3, seed=1)

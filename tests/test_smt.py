@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from sparse_closure import smt
 from sparse_closure.patterns import (
     SupportPattern,
     dense_pattern,
@@ -81,6 +82,11 @@ class TestEmission:
         # 2*2 target entries + 1 epsilon + 2*(3+3) factor copies = 17
         assert stats.num_variables == 17
         assert count_vars_independent(text) == 17
+
+    def test_variable_count_mismatch_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(smt, "expected_variable_count", lambda pattern: 16)
+        with pytest.raises(RuntimeError, match="emitted 17 variables, formula gives 16"):
+            emit_qe_sentence(lu_pattern(2), tmp_path / "lu2.smt2")
 
     def test_single_entry_single_layer_degenerate(self, tmp_path):
         pattern = validate_pattern({"dims": [1, 1], "masks": [[[1, 1]]]})
