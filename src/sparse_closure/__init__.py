@@ -20,7 +20,7 @@ from .datasets import (
     find_free_hypercube,
     theoretical_resolution,
 )
-from .infimum import InfimumResult, infimum_oracle
+from .infimum import InfimumResult, SearchStats, infimum_oracle
 from .patterns import (
     SparseFactors,
     SupportPattern,
@@ -64,6 +64,7 @@ __all__ = [
     "NetworkParams",
     "QeSentenceStats",
     "RationalPolyhedron",
+    "SearchStats",
     "AffineImageSet",
     "SparseFactors",
     "SupportPattern",

@@ -165,6 +165,8 @@ def cmd_train_lu(args) -> int:
         from dataclasses import replace
 
         spec = replace(spec, config=replace(spec.config, weight_decay=args.weight_decay))
+    # an unwritable --out fails here, before minutes of training
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(spec, workers=args.workers)
     paths = write_experiment(spec, result)
     diverged = sum(t.diverged for t in result.traces)

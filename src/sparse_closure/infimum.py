@@ -10,11 +10,18 @@ divergent valleys these problems live on (each entry follows a power law in
 the valley parameter, so straight extrapolation keeps falling off); in
 log-magnitude space the valley is straight, and squaring the per-entry step
 ratios while the objective improves tracks it at geometric speed.
+
+A restart that ends with bounded factors short of its budget is finished by a
+Gauss-Newton polish.  Near an attained optimum the polish converges fast; in a
+divergent valley it only creeps, so it stops once _STALL_ROUNDS consecutive
+residual evaluations fail to cut the distance by _STALL_RTOL (the rule that
+ends the descent) and keeps the best point it evaluated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,10 +33,31 @@ _STALL_RTOL = 1e-2
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """What one search did.  An alternating-least-squares pass is counted as
+    a sweep, or, when it refines an extrapolated point, as an accepted or
+    rejected extrapolation; polish evaluations count the residual evaluations
+    of every polish, and stall stops the polishes ended by the stall rule."""
+
+    restarts: int
+    sweeps: int
+    extrapolations_accepted: int
+    extrapolations_rejected: int
+    polish_calls: int
+    polish_evaluations: int
+    polish_stall_stops: int
+
+
+@dataclass(frozen=True)
 class InfimumResult:
     distance: float
     factors: SparseFactors
     max_factor_norm: float
+    stats: SearchStats
+
+
+class _Stalled(Exception):
+    """Raised from inside the polish's residual once the distance stalls."""
 
 
 def infimum_oracle(
@@ -66,16 +94,18 @@ def infimum_oracle(
     best_dist = np.inf
     best_factors = None
     max_norm = 0.0
+    counts = Counter()
 
     for r in range(restarts):
+        counts["restarts"] += 1
         rng = np.random.default_rng([seed, r])
         xs = [rng.uniform(-1.0, 1.0, size=m.shape) * m for m in masks]
-        dist, xs, seen, used = _descend(A, xs, masks, mask_entries, per_restart)
+        dist, xs, seen, used = _descend(A, xs, masks, mask_entries, per_restart, counts)
         max_norm = max(max_norm, seen)
         if used < per_restart and 1e-13 < dist and _max_norm(xs) < 1e6:
             # alternating updates have a sublinear tail near attained optima;
             # a Gauss-Newton polish finishes the job there
-            dist, xs = _polish(A, xs, mask_entries, per_restart - used)
+            dist, xs = _polish(A, xs, mask_entries, per_restart - used, counts)
             max_norm = max(max_norm, _max_norm(xs))
         if dist < best_dist:
             best_dist = dist
@@ -87,6 +117,7 @@ def infimum_oracle(
         distance=float(best_dist),
         factors=SparseFactors(pattern=pattern, factors=tuple(best_factors)),
         max_factor_norm=float(max_norm),
+        stats=SearchStats(**{f.name: counts[f.name] for f in fields(SearchStats)}),
     )
 
 
@@ -122,7 +153,7 @@ def _sweep(A, xs, mask_entries):
     return xs
 
 
-def _descend(A, xs, masks, mask_entries, budget):
+def _descend(A, xs, masks, mask_entries, budget, counts):
     depth = len(xs)
     used = 0
     dist = _distance(A, xs)
@@ -133,6 +164,7 @@ def _descend(A, xs, masks, mask_entries, budget):
         prev = xs
         xs = _sweep(A, xs, mask_entries)
         used += depth
+        counts["sweeps"] += 1
         dist = _distance(A, xs)
         seen = max(seen, _max_norm(xs))
 
@@ -145,18 +177,22 @@ def _descend(A, xs, masks, mask_entries, budget):
             log_ratios.append(np.log(np.clip(r, 0.1, 10.0)))
         power = 1.0
         while used + depth <= budget:
-            cand = [
-                (x * np.exp(np.clip(lr * power, -700.0, 700.0))) * m
-                for x, lr, m in zip(xs, log_ratios, masks)
-            ]
+            # a step that overflows is rejected by the finiteness test below
+            with np.errstate(over="ignore"):
+                cand = [
+                    (x * np.exp(np.clip(lr * power, -700.0, 700.0))) * m
+                    for x, lr, m in zip(xs, log_ratios, masks)
+                ]
             cand = _sweep(A, cand, mask_entries)
             used += depth
             cand_dist = _distance(A, cand)
             if np.isfinite(cand_dist) and cand_dist < dist and _max_norm(cand) < _NORM_GUARD:
+                counts["extrapolations_accepted"] += 1
                 xs, dist = cand, cand_dist
                 seen = max(seen, _max_norm(xs))
                 power *= 2.0
             else:
+                counts["extrapolations_rejected"] += 1
                 break
         if dist < 1e-14:
             break
@@ -170,8 +206,10 @@ def _descend(A, xs, masks, mask_entries, budget):
     return dist, xs, seen, used
 
 
-def _polish(A, xs, mask_entries, budget):
-    """Trust-region least squares over the masked entries, warm-started."""
+def _polish(A, xs, mask_entries, budget, counts):
+    """Trust-region least squares over the masked entries, warm-started.
+
+    Stops early, with the best point evaluated, when the distance stalls."""
     from scipy.optimize import least_squares
 
     depth = len(xs)
@@ -187,8 +225,23 @@ def _polish(A, xs, mask_entries, budget):
             out.append(xi)
         return out
 
+    best_dist, best_vec = np.inf, None
+    stall, last_best = 0, np.inf
+
     def residual(vec):
-        return (chain_product(unpack(vec)) - A).ravel()
+        nonlocal best_dist, best_vec, stall, last_best
+        res = (chain_product(unpack(vec)) - A).ravel()
+        counts["polish_evaluations"] += 1
+        dist = float(np.linalg.norm(res))
+        if dist < best_dist:
+            best_dist, best_vec = dist, vec.copy()
+        if dist < last_best * (1.0 - _STALL_RTOL):
+            stall, last_best = 0, dist
+        else:
+            stall += 1
+            if stall >= _STALL_ROUNDS:
+                raise _Stalled
+        return res
 
     def jacobian(vec):
         fs = unpack(vec)
@@ -198,16 +251,20 @@ def _polish(A, xs, mask_entries, budget):
 
     if offsets[-1] == 0:
         return _distance(A, xs), xs
+    counts["polish_calls"] += 1
     x0 = np.concatenate([x[rows, cols] for x, (rows, cols) in zip(xs, mask_entries)])
-    fit = least_squares(
-        residual,
-        x0,
-        jac=jacobian,
-        method="trf",
-        max_nfev=max(budget // depth, 2),
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
-    best = unpack(fit.x)
-    return float(np.linalg.norm(residual(fit.x))), best
+    try:
+        fit = least_squares(
+            residual,
+            x0,
+            jac=jacobian,
+            method="trf",
+            max_nfev=max(budget // depth, 2),
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+        )
+    except _Stalled:
+        counts["polish_stall_stops"] += 1
+        return best_dist, unpack(best_vec)
+    return float(np.linalg.norm(fit.fun)), unpack(fit.x)

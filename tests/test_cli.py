@@ -80,6 +80,18 @@ class TestCheck:
         assert check["distance"] < 1e-4
         assert check["max_factor_norm"] > 1e2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_verify_witness_writes_nothing_to_stderr(self, lu2_file, seed):
+        # the search's overflowing extrapolation steps must stay silent
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparse_closure.cli", "check", "--pattern", lu2_file,
+             "--verify-witness", "--seed", str(seed)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
 
 class TestGenDataset:
     def test_lu2_grid(self, lu2_file, tmp_path, capsys):
@@ -190,6 +202,21 @@ class TestTrainLu:
         assert header == "epoch,rel_empirical,rel_jacobian,frob_W1,frob_W2"
         agg = next(p for p in out_dir.glob("*_aggregate.csv"))
         assert agg.read_text().splitlines()[0].startswith("epoch,rel_empirical_mean")
+
+    def test_unwritable_out_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        from sparse_closure import experiments
+
+        def no_training(*args, **kwargs):
+            pytest.fail("training started before --out was created")
+
+        monkeypatch.setattr(experiments, "run_experiment", no_training)
+        (tmp_path / "file").write_text("")
+        code = main([
+            "train-lu", "--d", "2", "--samples", "20", "--batch-size", "10",
+            "--out", str(tmp_path / "file" / "t"),
+        ])
+        assert code == 4
+        assert "error:" in capsys.readouterr().err
 
 
 # Failures that must leave through the documented exit codes.  "{tmp}" is the
