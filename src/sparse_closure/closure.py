@@ -17,7 +17,6 @@ from .patterns import (
     SupportPattern,
     compress_hidden,
     is_lu_pattern,
-    restrict_to_hidden,
     row_support_union,
 )
 from .rational import RationalMatrix, matrix, rank, submatrix
@@ -154,9 +153,10 @@ def check_theorem5_conditions(
     """Evaluate the two-part sufficient condition for a two-layer pattern.
 
     Enumerates all 2^{N_1} - 1 nonempty hidden subsets, so N_1 is capped
-    (default 16, override consciously).  Each subset's restricted pattern is
-    compressed onto its hidden neurons before the rule dispatch, which is
-    what lets the scalar-output and bounded-rank rules recognize it.
+    (default 16, override consciously).  Each subset's pattern is compressed
+    onto its hidden neurons, which drops every connection through the others,
+    before the rule dispatch; that is what lets the scalar-output and
+    bounded-rank rules recognize it.
     """
     if pattern.depth != 2:
         raise ValueError("the sufficient condition applies to two-layer patterns")
@@ -171,9 +171,7 @@ def check_theorem5_conditions(
     all_closed = True
     for size in range(1, n1 + 1):
         for subset in combinations(range(n1), size):
-            restricted = restrict_to_hidden(pattern, subset)
-            compressed = compress_hidden(restricted, subset)
-            v = closedness_verdict(compressed)
+            v = closedness_verdict(compress_hidden(pattern, subset))
             verdicts.append(SubsetVerdict(hidden=subset, status=v.status, rule=v.rule))
             if v.status is not Closedness.CLOSED:
                 all_closed = False

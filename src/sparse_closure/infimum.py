@@ -12,10 +12,10 @@ log-magnitude space the valley is straight, and squaring the per-entry step
 ratios while the objective improves tracks it at geometric speed.
 
 A restart that ends with bounded factors short of its budget is finished by a
-Gauss-Newton polish.  Near an attained optimum the polish converges fast; in a
-divergent valley it only creeps, so it stops once _STALL_ROUNDS consecutive
-residual evaluations fail to cut the distance by _STALL_RTOL (the rule that
-ends the descent) and keeps the best point it evaluated.
+Levenberg-damped Gauss-Newton polish.  Near an attained optimum the polish
+converges fast; in a divergent valley it only creeps, so it ends on the rule
+that ends the descent: _STALL_ROUNDS consecutive rounds that fail to cut the
+distance by _STALL_RTOL.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ _STALL_RTOL = 1e-2
 class SearchStats:
     """What one search did.  An alternating-least-squares pass is counted as
     a sweep, or, when it refines an extrapolated point, as an accepted or
-    rejected extrapolation; polish evaluations count the residual evaluations
-    of every polish, and stall stops the polishes ended by the stall rule."""
+    rejected extrapolation; polish evaluations count the trial steps of every
+    polish, and stall stops the polishes ended by the stall rule."""
 
     restarts: int
     sweeps: int
@@ -54,10 +54,6 @@ class InfimumResult:
     factors: SparseFactors
     max_factor_norm: float
     stats: SearchStats
-
-
-class _Stalled(Exception):
-    """Raised from inside the polish's residual once the distance stalls."""
 
 
 def infimum_oracle(
@@ -196,75 +192,57 @@ def _descend(A, xs, masks, mask_entries, budget, counts):
                 break
         if dist < 1e-14:
             break
-        if dist > last_best * (1.0 - _STALL_RTOL):
-            stall += 1
-            if stall >= _STALL_ROUNDS:
-                break
-        else:
-            stall = 0
-            last_best = dist
+        last_best, stall = _stall(dist, last_best, stall)
+        if stall >= _STALL_ROUNDS:
+            break
     return dist, xs, seen, used
 
 
 def _polish(A, xs, mask_entries, budget, counts):
-    """Trust-region least squares over the masked entries, warm-started.
+    """Levenberg-damped Gauss-Newton over the masked entries, warm-started.
 
-    Stops early, with the best point evaluated, when the distance stalls."""
-    from scipy.optimize import least_squares
-
-    depth = len(xs)
-    sizes = [len(rows) for rows, _ in mask_entries]
-    offsets = np.cumsum([0] + sizes)
-
-    def unpack(vec):
-        out = []
-        for i, x in enumerate(xs):
-            xi = np.zeros_like(x)
-            rows, cols = mask_entries[i]
-            xi[rows, cols] = vec[offsets[i] : offsets[i + 1]]
-            out.append(xi)
-        return out
-
-    best_dist, best_vec = np.inf, None
-    stall, last_best = 0, np.inf
-
-    def residual(vec):
-        nonlocal best_dist, best_vec, stall, last_best
-        res = (chain_product(unpack(vec)) - A).ravel()
-        counts["polish_evaluations"] += 1
-        dist = float(np.linalg.norm(res))
-        if dist < best_dist:
-            best_dist, best_vec = dist, vec.copy()
-        if dist < last_best * (1.0 - _STALL_RTOL):
-            stall, last_best = 0, dist
-        else:
-            stall += 1
-            if stall >= _STALL_ROUNDS:
-                raise _Stalled
-        return res
-
-    def jacobian(vec):
-        fs = unpack(vec)
-        return np.hstack(
-            [_design(fs, i, rows, cols, A.shape) for i, (rows, cols) in enumerate(mask_entries)]
-        )
-
-    if offsets[-1] == 0:
+    A step is kept only when it lowers the distance (the damping then falls
+    threefold, else it doubles), so the point returned is the best one
+    evaluated.  Runs at most max(budget // depth, 2) steps, and stops early
+    below 1e-14 or on the descent's stall rule."""
+    if not any(len(rows) for rows, _ in mask_entries):
         return _distance(A, xs), xs
     counts["polish_calls"] += 1
-    x0 = np.concatenate([x[rows, cols] for x, (rows, cols) in zip(xs, mask_entries)])
-    try:
-        fit = least_squares(
-            residual,
-            x0,
-            jac=jacobian,
-            method="trf",
-            max_nfev=max(budget // depth, 2),
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
+    dist = _distance(A, xs)
+    last_best, stall, damping = dist, 0, 1e-3
+    for _ in range(max(budget // len(xs), 2)):
+        jac = np.hstack([_design(xs, i, rows, cols, A.shape) for i, (rows, cols) in enumerate(mask_entries)])
+        n = jac.shape[1]
+        step, *_ = np.linalg.lstsq(
+            np.vstack([jac, np.sqrt(damping) * np.eye(n)]),
+            np.concatenate([(A - chain_product(xs)).ravel(), np.zeros(n)]),
+            rcond=None,
         )
-    except _Stalled:
-        counts["polish_stall_stops"] += 1
-        return best_dist, unpack(best_vec)
-    return float(np.linalg.norm(fit.fun)), unpack(fit.x)
+        cand = [x.copy() for x in xs]
+        start = 0
+        for x, (rows, cols) in zip(cand, mask_entries):
+            x[rows, cols] += step[start : start + len(rows)]
+            start += len(rows)
+        counts["polish_evaluations"] += 1
+        cand_dist = _distance(A, cand)
+        if cand_dist < dist:
+            xs, dist, damping = cand, cand_dist, damping / 3.0
+        else:
+            damping *= 2.0
+        if dist < 1e-14:
+            break
+        last_best, stall = _stall(dist, last_best, stall)
+        if stall >= _STALL_ROUNDS:
+            counts["polish_stall_stops"] += 1
+            break
+    return dist, xs
+
+
+def _stall(dist, last_best, stall):
+    """The stall rule of the descent and the polish: a round that fails to cut
+    last_best by _STALL_RTOL adds one to stall, any other resets it.  Returns
+    the new (last_best, stall); the caller stops once stall reaches
+    _STALL_ROUNDS."""
+    if dist > last_best * (1.0 - _STALL_RTOL):
+        return last_best, stall + 1
+    return dist, 0

@@ -19,16 +19,18 @@ def as_fraction(x) -> Fraction:
 
     Floats convert exactly (binary expansion), which keeps round-trips
     lossless; callers that care about decimal-looking values should pass
-    strings or Fractions.
+    strings or Fractions.  Zero denominators and non-finite values raise
+    ValueError, like any other malformed scalar.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational scalar")
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
+    if isinstance(x, (int, str, float)):
+        try:
+            return Fraction(x)
+        except ArithmeticError as exc:  # '1/0' or an infinite float
+            raise ValueError(f"{x!r} is not a finite rational") from exc
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
@@ -44,10 +46,6 @@ def matrix(rows: Iterable[Iterable]) -> RationalMatrix:
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged rows in rational matrix")
     return out
-
-
-def vector(entries: Iterable) -> RationalVector:
-    return tuple(as_fraction(x) for x in entries)
 
 
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

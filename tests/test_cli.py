@@ -92,6 +92,18 @@ class TestCheck:
         assert proc.returncode == 1
         assert proc.stderr == ""
 
+    def test_verify_witness_loads_no_scipy(self, lu2_file):
+        # the runtime depends on numpy alone; scipy is a test-only dependency
+        script = (
+            "import sys\n"
+            "from sparse_closure.cli import main\n"
+            f"assert main(['check', '--pattern', {lu2_file!r}, '--verify-witness']) == 1\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
+
 
 class TestGenDataset:
     def test_lu2_grid(self, lu2_file, tmp_path, capsys):
@@ -231,6 +243,10 @@ FAILURES = [
     ("gen-dataset-bad-pattern", ["gen-dataset", "--pattern", "{tmp}/dims5.json", "--out", "{tmp}/d"], 3),
     ("gen-dataset-bad-a-json", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/bad.json",
                                 "--out", "{tmp}/d"], 3),
+    ("gen-dataset-a-zero-denominator", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/a_zero.json",
+                                        "--out", "{tmp}/d"], 3),
+    ("gen-dataset-a-infinity", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/a_inf.json",
+                                "--out", "{tmp}/d"], 3),
     ("gen-dataset-point-cap", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--p", "4",
                                "--point-cap", "10", "--out", "{tmp}/d"], 4),
     ("emit-smt-bad-pattern", ["emit-smt", "--pattern", "{tmp}/masks5.json", "--out", "{tmp}/s.smt2"], 3),
@@ -238,6 +254,9 @@ FAILURES = [
     ("project-missing", ["project", "--input", "{tmp}/nope.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
     ("project-not-json", ["project", "--input", "{tmp}/bad.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
     ("project-malformed", ["project", "--input", "{tmp}/dims5.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
+    ("project-zero-denominator", ["project", "--input", "{tmp}/square_zero.json", "--keep", "1",
+                                  "--out", "{tmp}/o.json"], 3),
+    ("project-infinity", ["project", "--input", "{tmp}/square_inf.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
     ("project-bad-keep-token", ["project", "--input", "{tmp}/square.json", "--keep", "1,x",
                                 "--out", "{tmp}/o.json"], 4),
     ("project-non-positive-row-cap", ["project", "--input", "{tmp}/square.json", "--keep", "1",
@@ -261,11 +280,13 @@ def test_failure_exit_codes(tmp_path, argv, code):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "file").write_text("")
     write_pattern(tmp_path / "lu2.json", lu_pattern(2))
-    (tmp_path / "square.json").write_text(json.dumps({
-        "num_vars": 2,
-        "C": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]],
-        "y": ["1", "0", "1", "0"],
-    }))
+    square = {"num_vars": 2, "C": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]], "y": ["1", "0", "1", "0"]}
+    (tmp_path / "square.json").write_text(json.dumps(square))
+    # a zero denominator and a JSON Infinity, each in an otherwise valid input
+    (tmp_path / "square_zero.json").write_text(json.dumps({**square, "y": ["1/0", "0", "1", "0"]}))
+    (tmp_path / "square_inf.json").write_text(json.dumps({**square, "y": [float("inf"), "0", "1", "0"]}))
+    (tmp_path / "a_zero.json").write_text(json.dumps([["1/0", "0"], ["0", "1"]]))
+    (tmp_path / "a_inf.json").write_text(json.dumps([[float("inf"), 0], [0, 1]]))
     proc = subprocess.run(
         [sys.executable, "-m", "sparse_closure.cli", *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True,
