@@ -15,18 +15,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .closure import (
-    check_theorem5_conditions,
-    closedness_verdict,
-    closure_gap_witness_lu,
-    witness_to_json,
-)
+from .closure import check_theorem5_conditions, closedness_verdict, closure_gap_witness_lu
 from .datasets import build_bad_dataset, write_dataset
 from .inputs import InputError, load_input, load_matrix
 from .patterns import is_lu_pattern, load_pattern
 from .polyhedra import DEFAULT_ROW_CAP, RowCapExceeded, eliminate_variable
 from .polyhedra import load as load_polyhedron
 from .polyhedra import save as save_polyhedron
+from .rational import format_matrix
 from .smt import emit_qe_sentence
 
 EXIT_CLOSED = 0
@@ -66,21 +62,21 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--out", help="write the verdict JSON here as well as stdout")
 
     train = sub.add_parser("train-lu", help="train toward the anti-diagonal target on the LU pattern")
-    train.add_argument("--d", type=int, default=None, help="matrix dimension")
-    train.add_argument("--samples", type=int, default=None, help="training set size")
-    train.add_argument("--epochs", type=int, default=200)
-    train.add_argument("--lr", type=float, default=0.1)
-    train.add_argument("--momentum", type=float, default=0.9)
-    train.add_argument("--weight-decay", type=float, default=None,
+    train.add_argument("--d", type=int, help="matrix dimension")
+    train.add_argument("--samples", type=int, help="training set size")
+    train.add_argument("--epochs", type=int)
+    train.add_argument("--lr", type=float)
+    train.add_argument("--momentum", type=float)
+    train.add_argument("--weight-decay", type=float,
                        help="explicit decay; default 0, or 5e-4 with --regularized")
     train.add_argument("--regularized", action="store_true", help="use the standard weight decay 5e-4")
-    train.add_argument("--batch-size", type=int, default=None)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--runs", type=int, default=10, help="number of independent seeds")
+    train.add_argument("--batch-size", type=int)
+    train.add_argument("--seed", type=int)
+    train.add_argument("--runs", type=int, help="number of independent seeds")
     train.add_argument("--out", required=True, help="output directory for trace CSVs")
     train.add_argument("--paper-scale", action="store_true",
                        help="d=100, 1e5 samples, batch 3000 (minutes instead of seconds)")
-    train.add_argument("--workers", type=int, default=None, help="parallel seed processes")
+    train.add_argument("--workers", type=int, help="parallel seed processes")
 
     gen = sub.add_parser("gen-dataset", help="grid dataset labeled by an unattainable linear target")
     gen.add_argument("--pattern", required=True, help="pattern JSON file")
@@ -110,7 +106,7 @@ def cmd_check(args) -> int:
     payload = {
         "status": verdict.status.value,
         "rule": verdict.rule,
-        "witness": witness_to_json(verdict.witness) if verdict.witness else None,
+        "witness": format_matrix(verdict.witness) if verdict.witness else None,
         "sentence_path": verdict.sentence_path,
     }
     if args.verify_witness and verdict.witness is not None:
@@ -144,27 +140,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_train_lu(args) -> int:
-    from .experiments import desk_spec, full_scale_spec, run_experiment, write_experiment
+    from .experiments import PAPER_SCALE, desk_spec, run_experiment, write_experiment
 
-    overrides = {
-        "epochs": args.epochs,
-        "learning_rate": args.lr,
-        "momentum": args.momentum,
-        "seed": args.seed,
-        "runs": args.runs,
-    }
-    if args.d is not None:
-        overrides["dimension"] = args.d
-    if args.samples is not None:
-        overrides["num_samples"] = args.samples
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    builder = full_scale_spec if args.paper_scale else desk_spec
-    spec = builder(args.regularized, args.out, **overrides)
-    if args.weight_decay is not None:
-        from dataclasses import replace
-
-        spec = replace(spec, config=replace(spec.config, weight_decay=args.weight_decay))
+    # options left out keep the experiment's defaults
+    given = {"dimension": args.d, "num_samples": args.samples, "batch_size": args.batch_size,
+             "epochs": args.epochs, "learning_rate": args.lr, "momentum": args.momentum,
+             "weight_decay": args.weight_decay, "seed": args.seed, "runs": args.runs}
+    overrides = dict(PAPER_SCALE) if args.paper_scale else {}
+    overrides.update((k, v) for k, v in given.items() if v is not None)
+    spec = desk_spec(args.regularized, args.out, **overrides)
     # an unwritable --out fails here, before minutes of training
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(spec, workers=args.workers)

@@ -197,9 +197,3 @@ def scalar_output_projection_distance(a, pattern: SupportPattern) -> float:
     support = row_support_union(pattern)
     sq = sum(float(x) ** 2 for j, x in enumerate(m[0]) if j not in support)
     return sq**0.5
-
-
-def witness_to_json(w: RationalMatrix) -> list[list[str]]:
-    from .rational import format_fraction
-
-    return [[format_fraction(x) for x in row] for row in w]

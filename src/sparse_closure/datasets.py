@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .patterns import SupportPattern, pattern_to_json
-from .rational import as_fraction, format_fraction, matvec
+from .rational import as_fraction, format_fraction, format_matrix, matrix, matvec, vector
 
 
 class FreeCubeNotFound(RuntimeError):
@@ -67,9 +67,7 @@ class Hyperplane:
 
 
 def hyperplane(normal, offset) -> Hyperplane:
-    return Hyperplane(
-        normal=tuple(as_fraction(w) for w in normal), offset=as_fraction(offset)
-    )
+    return Hyperplane(normal=vector(normal), offset=as_fraction(offset))
 
 
 def edge_intersects(plane: Hyperplane, base, axis: int, resolution: int) -> bool:
@@ -170,31 +168,33 @@ def build_bad_dataset(
     practical cap almost immediately; training-scale sets pass p_override
     (small grids already exhibit the divergence phenomenon).
     """
-    rows = tuple(tuple(as_fraction(x) for x in row) for row in _rows_of(a))
+    rows = matrix(a)
     if len(rows) != pattern.output_dim or any(
         len(r) != pattern.input_dim for r in rows
     ):
         raise ValueError(
             f"target matrix must be {pattern.output_dim} x {pattern.input_dim}"
         )
-    p = theoretical_resolution(pattern) if p_override is None else p_override
+    if p_override is None:
+        hint = " (pass p_override for a usable grid)"
+        # the resolution 3 N_0 4^H exceeds 4^H = 2^(2H): once that passes the
+        # cap, refuse before building a 2H-bit integer
+        hidden = sum(pattern.dims[1:-1])
+        if 2 * hidden >= point_cap.bit_length():
+            raise TooManyPoints(
+                f"grid at resolution 3*N0*4^{hidden} would hold more than {point_cap} points{hint}"
+            )
+        p = theoretical_resolution(pattern)
+    else:
+        hint, p = "", p_override
     if p < 1:
         raise ValueError("resolution must be positive")
-    count = (p + 1) ** pattern.input_dim
-    if count > point_cap:
-        hint = "" if p_override is not None else " (pass p_override for a usable grid)"
-        raise TooManyPoints(f"grid would hold {count} points, cap is {point_cap}{hint}")
     grid = Grid(resolution=p, dimension=pattern.input_dim)
+    if grid.cardinality > point_cap:
+        raise TooManyPoints(f"grid would hold {grid.cardinality} points, cap is {point_cap}{hint}")
     inputs = tuple(grid.points())
     targets = tuple(matvec(rows, x) for x in inputs)
     return LabeledDataset(inputs=inputs, targets=targets), p
-
-
-def _rows_of(a):
-    try:
-        return a.tolist()
-    except AttributeError:
-        return a
 
 
 def write_dataset(
@@ -215,7 +215,7 @@ def write_dataset(
         for x, y in zip(dataset.inputs, dataset.targets):
             writer.writerow([format_fraction(v) for v in (*x, *y)])
     header = {
-        "A": [[format_fraction(as_fraction(v)) for v in row] for row in _rows_of(a)],
+        "A": format_matrix(matrix(a)),
         "pattern": pattern_to_json(pattern),
         "p": resolution,
         "num_points": len(dataset),

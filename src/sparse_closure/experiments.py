@@ -11,28 +11,26 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .patterns import lu_pattern
-from .relu import TrainingConfig, TrainingTrace, init_params, train
+from .relu import TrainingConfig, TrainingTrace, init_params, train, write_trace_csv
 
 # Desk-scale defaults: small enough for laptop minutes, stepped enough for the
 # divergence signature to show inside 200 epochs.  The initialization scale is
 # deliberately above 1: the regularized equilibrium norm is initialization
 # independent, so starting too small reads as spurious "norm growth" in the
-# regularized run as well.
+# regularized run as well.  The optimizer's other defaults are TrainingConfig's.
 DESK_DIMENSION = 20
 DESK_SAMPLES = 10_000
 DESK_BATCH = 25
 DESK_INIT_SCALE = 2.2
 
-FULL_SCALE_DIMENSION = 100
-FULL_SCALE_SAMPLES = 100_000
-FULL_SCALE_BATCH = 3000
-FULL_SCALE_INIT_SCALE = 1.0
+# the source paper's scale, as desk_spec overrides
+PAPER_SCALE = {"dimension": 100, "num_samples": 100_000, "batch_size": 3000, "init_scale": 1.0}
 
 STANDARD_WEIGHT_DECAY = 5e-4
 
@@ -41,11 +39,10 @@ STANDARD_WEIGHT_DECAY = 5e-4
 class ExperimentSpec:
     """One multi-seed training experiment (a single weight-decay setting)."""
 
-    dimension: int
-    num_samples: int
-    config: TrainingConfig
-    regularized: bool
     out_dir: Path
+    config: TrainingConfig
+    dimension: int = DESK_DIMENSION
+    num_samples: int = DESK_SAMPLES
     runs: int = 10
     init_scale: float = DESK_INIT_SCALE
 
@@ -57,36 +54,20 @@ class ExperimentSpec:
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
 
+    @property
+    def regularized(self) -> bool:
+        """Whether the run uses weight decay; this also labels its trace files."""
+        return self.config.weight_decay > 0
+
 
 def desk_spec(regularized: bool, out_dir, **overrides) -> ExperimentSpec:
-    config = TrainingConfig(
-        batch_size=overrides.pop("batch_size", DESK_BATCH),
-        learning_rate=overrides.pop("learning_rate", 0.1),
-        momentum=overrides.pop("momentum", 0.9),
-        weight_decay=STANDARD_WEIGHT_DECAY if regularized else 0.0,
-        epochs=overrides.pop("epochs", 200),
-        seed=overrides.pop("seed", 0),
-    )
-    spec = ExperimentSpec(
-        dimension=overrides.pop("dimension", DESK_DIMENSION),
-        num_samples=overrides.pop("num_samples", DESK_SAMPLES),
-        config=config,
-        regularized=regularized,
-        out_dir=Path(out_dir),
-        runs=overrides.pop("runs", 10),
-        init_scale=overrides.pop("init_scale", DESK_INIT_SCALE),
-    )
-    if overrides:
-        raise TypeError(f"unknown experiment overrides: {sorted(overrides)}")
-    return spec
-
-
-def full_scale_spec(regularized: bool, out_dir, **overrides) -> ExperimentSpec:
-    overrides.setdefault("dimension", FULL_SCALE_DIMENSION)
-    overrides.setdefault("num_samples", FULL_SCALE_SAMPLES)
-    overrides.setdefault("batch_size", FULL_SCALE_BATCH)
-    overrides.setdefault("init_scale", FULL_SCALE_INIT_SCALE)
-    return desk_spec(regularized, out_dir, **overrides)
+    """A desk-scale experiment with any TrainingConfig or ExperimentSpec field
+    overridden by keyword.  weight_decay defaults to STANDARD_WEIGHT_DECAY
+    when regularized and to 0 otherwise; an explicit value wins."""
+    overrides.setdefault("weight_decay", STANDARD_WEIGHT_DECAY if regularized else 0.0)
+    overrides.setdefault("batch_size", DESK_BATCH)
+    config = {f.name: overrides.pop(f.name) for f in fields(TrainingConfig) if f.name in overrides}
+    return ExperimentSpec(out_dir=Path(out_dir), config=TrainingConfig(**config), **overrides)
 
 
 def anti_diagonal_identity(d: int) -> np.ndarray:
@@ -122,15 +103,9 @@ class ExperimentResult:
         """Per-epoch mean and std over seeds, truncated to the shortest trace
         (traces only differ in length if the divergence guard fired)."""
         n = min(len(t) for t in self.traces)
-        fields = {
-            "rel_empirical": [t.rel_empirical[:n] for t in self.traces],
-            "rel_jacobian": [t.rel_jacobian[:n] for t in self.traces],
-            "frob_W1": [t.w1_norms[:n] for t in self.traces],
-            "frob_W2": [t.w2_norms[:n] for t in self.traces],
-        }
         out: dict[str, np.ndarray] = {"epoch": np.arange(1, n + 1)}
-        for name, rows in fields.items():
-            arr = np.asarray(rows)
+        for name in self.traces[0].columns():
+            arr = np.asarray([t.columns()[name][:n] for t in self.traces])
             out[f"{name}_mean"] = arr.mean(axis=0)
             out[f"{name}_std"] = arr.std(axis=0)
         return out
@@ -165,14 +140,7 @@ def write_experiment(spec: ExperimentSpec, result: ExperimentResult) -> list[Pat
         path = spec.out_dir / f"trace_{label}_seed{spec.config.seed}_run{r}.csv"
         trace.write_csv(path)
         paths.append(path)
-    agg = result.aggregate()
     agg_path = spec.out_dir / f"trace_{label}_aggregate.csv"
-    columns = list(agg.keys())
-    with open(agg_path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for i in range(len(agg["epoch"])):
-            cells = [str(int(agg["epoch"][i]))]
-            cells += [repr(float(agg[c][i])) for c in columns if c != "epoch"]
-            fh.write(",".join(cells) + "\n")
+    write_trace_csv(agg_path, result.aggregate())
     paths.append(agg_path)
     return paths

@@ -34,7 +34,7 @@ class SupportPattern:
     def __post_init__(self):
         if len(self.dims) < 2:
             raise ValueError("a pattern needs at least an input and an output layer")
-        if any(not isinstance(n, int) or n <= 0 for n in self.dims):
+        if any(isinstance(n, bool) or not isinstance(n, int) or n <= 0 for n in self.dims):
             raise ValueError(f"dimensions must be positive integers, got {self.dims}")
         if len(self.masks) != len(self.dims) - 1:
             raise ValueError(
@@ -93,10 +93,12 @@ def validate_pattern(raw) -> SupportPattern:
     dims = tuple(raw["dims"])
     masks = []
     for layer in raw["masks"]:
+        if not isinstance(layer, list):
+            raise ValueError(f"each mask must be a list of [row, col] pairs, got {layer!r:.40}")
         pairs = set()
         for pair in layer:
             r, c = pair
-            if not (isinstance(r, int) and isinstance(c, int)) or r < 1 or c < 1:
+            if any(isinstance(i, bool) or not isinstance(i, int) or i < 1 for i in (r, c)):
                 raise ValueError(f"mask indices must be positive integers, got {pair}")
             pairs.add((r - 1, c - 1))
         masks.append(frozenset(pairs))
@@ -140,12 +142,17 @@ def lu_pattern(d: int) -> SupportPattern:
 
 
 def is_lu_pattern(pattern: SupportPattern) -> bool:
+    """pattern == lu_pattern(d), without building it: masks hold distinct
+    in-bounds pairs, so d(d+1)/2 pairs on or above (below) the diagonal
+    are the whole upper (lower) triangle."""
     if pattern.depth != 2:
         return False
     d = pattern.dims[0]
     if pattern.dims != (d, d, d):
         return False
-    return pattern == lu_pattern(d)
+    upper, lower = pattern.masks
+    return (len(upper) == d * (d + 1) // 2 == len(lower)
+            and all(r <= c for r, c in upper) and all(r >= c for r, c in lower))
 
 
 def restrict_to_hidden(pattern: SupportPattern, hidden: Iterable[int]) -> SupportPattern:
@@ -263,8 +270,7 @@ def product(factors: SparseFactors):
     mats = list(factors.factors)
     if all(isinstance(m, np.ndarray) and m.dtype != object for m in mats):
         return chain_product(mats)
-    rows = [matrix(m.tolist() if isinstance(m, np.ndarray) else m) for m in mats]
-    return chain_product(rows, matmul)
+    return chain_product([matrix(m) for m in mats], matmul)
 
 
 def masked_factors(pattern: SupportPattern, arrays: Sequence[np.ndarray]) -> SparseFactors:

@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import as_fraction, format_fraction
+from .rational import format_fraction, format_matrix, vector, matrix as rational_matrix
 
 DEFAULT_ROW_CAP = 100_000
+# above this many rows the O(m^3) pairwise redundancy check is skipped
+PAIR_LIMIT = 96
 
 
 class RowCapExceeded(RuntimeError):
@@ -32,6 +34,8 @@ class RationalPolyhedron:
     rhs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if isinstance(self.num_vars, bool) or not isinstance(self.num_vars, int):
+            raise TypeError(f"num_vars must be an integer, got {self.num_vars!r}")
         if self.num_vars < 1:
             raise ValueError("a polyhedron needs at least one variable")
         if len(self.rows) != len(self.rhs):
@@ -46,16 +50,12 @@ class RationalPolyhedron:
 
 
 def polyhedron(num_vars: int, rows, rhs) -> RationalPolyhedron:
-    return RationalPolyhedron(
-        num_vars=num_vars,
-        rows=tuple(tuple(as_fraction(x) for x in row) for row in rows),
-        rhs=tuple(as_fraction(x) for x in rhs),
-    )
+    return RationalPolyhedron(num_vars=num_vars, rows=rational_matrix(rows), rhs=vector(rhs))
 
 
 def contains(poly: RationalPolyhedron, point) -> bool:
     """Exact membership: every inequality holds at the point."""
-    pt = tuple(as_fraction(x) for x in point)
+    pt = vector(point)
     if len(pt) != poly.num_vars:
         raise ValueError(f"point has {len(pt)} coordinates, polyhedron has {poly.num_vars}")
     for row, b in zip(poly.rows, poly.rhs):
@@ -141,11 +141,10 @@ def eliminate_variable(
             # cp * (negative row) + (-cn) * (positive row): idx coefficient cancels
             row = tuple(cp * xn - cn * xp for xp, xn in zip(rp, rn))
             combined.append((row, cp * bn - cn * bp))
-    result = _normalize(poly.num_vars - 1, combined)
-    return drop_redundant(result)
+    return _prune(_normalize(poly.num_vars - 1, combined))
 
 
-def drop_redundant(poly: RationalPolyhedron, pair_limit: int = 96) -> RationalPolyhedron:
+def drop_redundant(poly: RationalPolyhedron, pair_limit: int = PAIR_LIMIT) -> RationalPolyhedron:
     """Cheap redundancy pruning that preserves the represented set.
 
     Always removes duplicates and rhs-dominated copies (handled by
@@ -153,11 +152,16 @@ def drop_redundant(poly: RationalPolyhedron, pair_limit: int = 96) -> RationalPo
     most two other rows.  The pairwise stage is O(m^3) in the worst case and
     is skipped above pair_limit rows.
     """
-    normalized = _normalize(poly.num_vars, zip(poly.rows, poly.rhs))
-    rows = list(zip(normalized.rows, normalized.rhs))
+    return _prune(_normalize(poly.num_vars, zip(poly.rows, poly.rhs)), pair_limit)
+
+
+def _prune(poly: RationalPolyhedron, pair_limit: int = PAIR_LIMIT) -> RationalPolyhedron:
+    """The pairwise stage of drop_redundant on a normalized system; the rows
+    it keeps stay canonical, unique and sorted."""
+    rows = list(zip(poly.rows, poly.rhs))
     m = len(rows)
     if m <= 2 or m > pair_limit:
-        return normalized
+        return poly
     keep = [True] * m
     for r in range(m):
         target_row, target_b = rows[r]
@@ -179,8 +183,9 @@ def drop_redundant(poly: RationalPolyhedron, pair_limit: int = 96) -> RationalPo
                 break
         if implied:
             keep[r] = False
-    kept = [rows[i] for i in range(m) if keep[i]]
-    return _normalize(poly.num_vars, kept)
+    kept = [i for i in range(m) if keep[i]]
+    rows_kept, rhs_kept = tuple(poly.rows[i] for i in kept), tuple(poly.rhs[i] for i in kept)
+    return RationalPolyhedron(poly.num_vars, rows_kept, rhs_kept)
 
 
 def _two_row_combination(row_a, row_b, target):
@@ -229,7 +234,7 @@ class AffineImageSet:
 
 def affine_image_set(matrix, base: RationalPolyhedron) -> AffineImageSet:
     return AffineImageSet(
-        matrix=tuple(tuple(as_fraction(x) for x in row) for row in matrix),
+        matrix=rational_matrix(matrix),
         base=base,
     )
 
@@ -259,13 +264,13 @@ def affine_image(img: AffineImageSet, row_cap: int = DEFAULT_ROW_CAP) -> Rationa
 def to_json(poly: RationalPolyhedron) -> dict:
     return {
         "num_vars": poly.num_vars,
-        "C": [[format_fraction(x) for x in row] for row in poly.rows],
+        "C": format_matrix(poly.rows),
         "y": [format_fraction(b) for b in poly.rhs],
     }
 
 
 def from_json(data: dict) -> RationalPolyhedron:
-    return polyhedron(int(data["num_vars"]), data["C"], data["y"])
+    return polyhedron(data["num_vars"], data["C"], data["y"])
 
 
 def load(path) -> RationalPolyhedron:

@@ -7,30 +7,36 @@ where a wrong sign or a rounded pivot would silently change a verdict.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 RationalVector = tuple[Fraction, ...]
+
+_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, strings like '3/4', floats and Fractions to Fraction.
 
     Floats convert exactly (binary expansion), which keeps round-trips
-    lossless; callers that care about decimal-looking values should pass
-    strings or Fractions.  Zero denominators and non-finite values raise
-    ValueError, like any other malformed scalar.
+    lossless.  Strings must be in the form format_fraction writes (no
+    decimals or exponents, so '1e999999' cannot ask for a huge integer).
+    Zero denominators and non-finite values raise ValueError, like any
+    other malformed scalar.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational scalar")
+    if isinstance(x, str) and not _RATIONAL_STRING.fullmatch(x):
+        raise ValueError(f"{x!r:.40} is not an integer or a 'p/q' string")
     if isinstance(x, (int, str, float)):
         try:
             return Fraction(x)
-        except ArithmeticError as exc:  # '1/0' or an infinite float
-            raise ValueError(f"{x!r} is not a finite rational") from exc
+        except (ArithmeticError, ValueError) as exc:  # '1/0', inf, nan, too many digits
+            raise ValueError(f"{x!r:.40} is not a finite rational") from exc
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
@@ -41,11 +47,29 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def matrix(rows: Iterable[Iterable]) -> RationalMatrix:
-    out = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+def _as_list(values, what: str):
+    values = values.tolist() if hasattr(values, "tolist") else values  # numpy arrays
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list of {what}, got {type(values).__name__}")
+    return values
+
+
+def vector(values) -> RationalVector:
+    """A list or tuple of scalars (or a 1-d numpy array) as a rational vector."""
+    return tuple(as_fraction(x) for x in _as_list(values, "rationals"))
+
+
+def matrix(rows) -> RationalMatrix:
+    """A list or tuple of rows (or a 2-d numpy array) as a rational matrix."""
+    out = tuple(vector(row) for row in _as_list(rows, "rows"))
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged rows in rational matrix")
     return out
+
+
+def format_matrix(m: RationalMatrix) -> list[list[str]]:
+    """The JSON form of a rational matrix: rows of 'p/q' strings."""
+    return [[format_fraction(x) for x in row] for row in m]
 
 
 def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

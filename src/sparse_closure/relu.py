@@ -175,11 +175,11 @@ def sgd_step(
 ) -> None:
     """One momentum step with standard (coupled) weight decay:
     v <- momentum v + grad + decay p;  p <- p - lr v;  then mask projection."""
-    for p, g, v in zip(params.weights, grads.weights, velocity.weights):
-        v *= config.momentum
-        v += g + config.weight_decay * p
-        p -= config.learning_rate * v
-    for p, g, v in zip(params.biases, grads.biases, velocity.biases):
+    for p, g, v in zip(
+        params.weights + params.biases,
+        grads.weights + grads.biases,
+        velocity.weights + velocity.biases,
+    ):
         v *= config.momentum
         v += g + config.weight_decay * p
         p -= config.learning_rate * v
@@ -227,14 +227,22 @@ class TrainingTrace:
     def __len__(self) -> int:
         return len(self.rel_empirical)
 
+    def columns(self) -> dict[str, list[float]]:
+        """The recorded series under their CSV column names."""
+        return {"rel_empirical": self.rel_empirical, "rel_jacobian": self.rel_jacobian,
+                "frob_W1": self.w1_norms, "frob_W2": self.w2_norms}
+
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("epoch,rel_empirical,rel_jacobian,frob_W1,frob_W2\n")
-            for e in range(len(self)):
-                fh.write(
-                    f"{e + 1},{self.rel_empirical[e]!r},{self.rel_jacobian[e]!r},"
-                    f"{self.w1_norms[e]!r},{self.w2_norms[e]!r}\n"
-                )
+        write_trace_csv(path, {"epoch": range(1, len(self) + 1), **self.columns()})
+
+
+def write_trace_csv(path, columns: dict) -> None:
+    """CSV of an integer 'epoch' column followed by float columns, written
+    with repr so that every value round-trips exactly."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for epoch, *values in zip(*columns.values()):
+            fh.write(",".join([str(int(epoch))] + [repr(float(v)) for v in values]) + "\n")
 
 
 def train(

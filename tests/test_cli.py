@@ -132,6 +132,20 @@ class TestGenDataset:
         assert "explicit target" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("hidden", [5000, 10**9])
+    def test_wide_pattern_refused_without_printing_the_count(self, tmp_path, capsys, hidden):
+        # 3*N0*4^H is never built: at H = 1e9 it would take 250 MB
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps({"dims": [2, hidden, 2], "masks": [[], []]}))
+        a_file = tmp_path / "a.json"
+        a_file.write_text(json.dumps([["0", "1"], ["1", "0"]]))
+        code = main(["gen-dataset", "--pattern", str(f), "--a", str(a_file), "--out", str(tmp_path / "d")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"3*N0*4^{hidden} would hold more than 10000000 points" in err
+        assert "digits" not in err
+
+
 class TestEmitSmt:
     def test_stats_match_formula(self, lu2_file, tmp_path, capsys):
         out = tmp_path / "lu2.smt2"
@@ -202,6 +216,22 @@ class TestTrainLu:
         names = {p.name for p in out_dir.glob("*.csv")}
         assert any(n.startswith("trace_regularized") for n in names)
 
+    @pytest.mark.parametrize("flags, label", [
+        (["--weight-decay", "0.001"], "regularized"),
+        (["--regularized", "--weight-decay", "0"], "unregularized"),
+    ])
+    def test_trace_label_follows_the_decay(self, tmp_path, capsys, flags, label):
+        # regularized means a positive weight decay, however it was asked for
+        out_dir = tmp_path / "t"
+        assert main([
+            "train-lu", "--d", "2", "--samples", "40", "--epochs", "1",
+            "--batch-size", "20", "--runs", "1", "--out", str(out_dir), "--workers", "1", *flags,
+        ]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out_dir.glob("*.csv")) == [
+            f"trace_{label}_aggregate.csv", f"trace_{label}_seed0_run0.csv",
+        ]
+
     def test_trace_csv_columns(self, tmp_path, capsys):
         out_dir = tmp_path / "t"
         main([
@@ -237,6 +267,9 @@ class TestTrainLu:
 FAILURES = [
     ("check-dims-not-a-list", ["check", "--pattern", "{tmp}/dims5.json"], 3),
     ("check-masks-not-a-list", ["check", "--pattern", "{tmp}/masks5.json"], 3),
+    ("check-dims-bool", ["check", "--pattern", "{tmp}/dims_bool.json"], 3),
+    ("check-mask-index-bool", ["check", "--pattern", "{tmp}/index_bool.json"], 3),
+    ("check-mask-not-a-list", ["check", "--pattern", "{tmp}/mask_string.json"], 3),
     ("check-unwritable-out", ["check", "--pattern", "{tmp}/lu2.json", "--out", "{tmp}/file/v.json"], 4),
     ("check-bad-budget", ["check", "--pattern", "{tmp}/lu2.json", "--verify-witness", "--budget", "0"], 4),
     ("check-non-integer-option", ["check", "--pattern", "{tmp}/lu2.json", "--budget", "abc"], 4),
@@ -246,6 +279,8 @@ FAILURES = [
     ("gen-dataset-a-zero-denominator", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/a_zero.json",
                                         "--out", "{tmp}/d"], 3),
     ("gen-dataset-a-infinity", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/a_inf.json",
+                                "--out", "{tmp}/d"], 3),
+    ("gen-dataset-a-exponent", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/a_exp.json",
                                 "--out", "{tmp}/d"], 3),
     ("gen-dataset-point-cap", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--p", "4",
                                "--point-cap", "10", "--out", "{tmp}/d"], 4),
@@ -257,6 +292,9 @@ FAILURES = [
     ("project-zero-denominator", ["project", "--input", "{tmp}/square_zero.json", "--keep", "1",
                                   "--out", "{tmp}/o.json"], 3),
     ("project-infinity", ["project", "--input", "{tmp}/square_inf.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
+    ("project-fractional-num-vars", ["project", "--input", "{tmp}/square_half_vars.json", "--keep", "1",
+                                     "--out", "{tmp}/o.json"], 3),
+    ("project-exponent", ["project", "--input", "{tmp}/square_exp.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
     ("project-bad-keep-token", ["project", "--input", "{tmp}/square.json", "--keep", "1,x",
                                 "--out", "{tmp}/o.json"], 4),
     ("project-non-positive-row-cap", ["project", "--input", "{tmp}/square.json", "--keep", "1",
@@ -287,6 +325,14 @@ def test_failure_exit_codes(tmp_path, argv, code):
     (tmp_path / "square_inf.json").write_text(json.dumps({**square, "y": [float("inf"), "0", "1", "0"]}))
     (tmp_path / "a_zero.json").write_text(json.dumps([["1/0", "0"], ["0", "1"]]))
     (tmp_path / "a_inf.json").write_text(json.dumps([[float("inf"), 0], [0, 1]]))
+    # bools are no integers, 2.5 variables are none, and an exponent is no
+    # documented rational form (Fraction would expand it to a million digits)
+    (tmp_path / "dims_bool.json").write_text(json.dumps({"dims": [2, True, 2], "masks": [[[1, 1]], [[1, 1]]]}))
+    (tmp_path / "index_bool.json").write_text(json.dumps({"dims": [2, 2, 2], "masks": [[[True, 1]], [[1, 1]]]}))
+    (tmp_path / "mask_string.json").write_text(json.dumps({"dims": [2, 2], "masks": [""]}))
+    (tmp_path / "square_half_vars.json").write_text(json.dumps({**square, "num_vars": 2.5}))
+    (tmp_path / "square_exp.json").write_text(json.dumps({**square, "y": ["1e999999", "0", "1", "0"]}))
+    (tmp_path / "a_exp.json").write_text(json.dumps([["1e999999", "0"], ["0", "1"]]))
     proc = subprocess.run(
         [sys.executable, "-m", "sparse_closure.cli", *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True,

@@ -176,6 +176,21 @@ class TestBuildBadDataset:
                 closure_gap_witness_lu(2), lu_pattern(2), p_override=10, point_cap=100
             )
 
+    def test_integer_numpy_target(self):
+        expected, _ = build_bad_dataset(((0, 1), (1, 0)), lu_pattern(2), p_override=2)
+        for a in (np.array([[0, 1], [1, 0]]), [np.array([0, 1]), np.array([1, 0])]):
+            assert build_bad_dataset(a, lu_pattern(2), p_override=2)[0] == expected
+
+    def test_wide_pattern_refused_before_the_resolution_is_built(self, monkeypatch):
+        # 3*N0*4^H with H = 1e9 would be a 2e9-bit integer
+        def no_resolution(pattern):
+            pytest.fail("the theoretical resolution was built")
+
+        monkeypatch.setattr(datasets, "theoretical_resolution", no_resolution)
+        pattern = SupportPattern(dims=(2, 10**9, 2), masks=(frozenset(), frozenset()))
+        with pytest.raises(TooManyPoints, match=r"4\^1000000000 would hold more than 100 points"):
+            build_bad_dataset(((0, 1), (1, 0)), pattern, point_cap=100)
+
     def test_targets_exact_rational(self):
         pattern = SupportPattern(
             dims=(2, 1, 1), masks=(frozenset({(0, 0), (0, 1)}), frozenset({(0, 0)}))
@@ -201,4 +216,6 @@ class TestSerialization:
         header = json.loads(header_path.read_text())
         assert header["p"] == 2
         assert header["A"] == [["0", "1"], ["1", "0"]]
+        write_dataset(dataset, csv_path, header_path, np.array([[0, 1], [1, 0]]), pattern, p)
+        assert json.loads(header_path.read_text())["A"] == [["0", "1"], ["1", "0"]]
         assert header["pattern"]["dims"] == [2, 2, 2]

@@ -60,6 +60,10 @@ class TestLuMembership:
             got = lu_membership([[a11, a12], [a21, a22]])
             assert got == expected, f"disagreement at {[[a11, a12], [a21, a22]]}"
 
+    def test_integer_numpy_array(self):
+        assert lu_membership(np.array([[0, 1], [1, 0]])) is False
+        assert lu_membership(np.eye(3, dtype=int)) is True
+
     def test_rational_entries(self):
         from fractions import Fraction as F
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from sparse_closure import patterns
 from sparse_closure.patterns import (
     SparseFactors,
     SupportPattern,
     compress_hidden,
     dense_pattern,
+    is_lu_pattern,
     lu_pattern,
     masked_factors,
     pattern_to_json,
@@ -57,11 +59,50 @@ class TestValidatePattern:
         with pytest.raises(ValueError, match="positive"):
             validate_pattern({"dims": [2, 0], "masks": [[]]})
 
+    @pytest.mark.parametrize("raw", [
+        {"dims": [2, True, 2], "masks": [[[1, 1]], [[1, 1]]]},
+        {"dims": [2, 2], "masks": [[[True, 1]]]},
+        {"dims": [2, 2], "masks": [""]},
+        {"dims": [2, 2], "masks": [{}]},
+    ], ids=["bool-dim", "bool-index", "string-mask", "object-mask"])
+    def test_wrongly_typed_entries_rejected(self, raw):
+        with pytest.raises(ValueError):
+            validate_pattern(raw)
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             pattern = random_two_layer(rng)
             assert validate_pattern(pattern_to_json(pattern)) == pattern
+
+
+class TestIsLuPattern:
+    def test_decided_without_building_the_lu_pattern(self, monkeypatch):
+        def no_build(d):
+            pytest.fail("lu_pattern was built")
+
+        monkeypatch.setattr(patterns, "lu_pattern", no_build)
+        empty = SupportPattern(dims=(10**6,) * 3, masks=(frozenset(), frozenset()))
+        assert is_lu_pattern(empty) is False
+
+    def test_agrees_with_comparison_to_lu_pattern(self):
+        rng = np.random.default_rng(8)
+        for d in range(1, 5):
+            lu = lu_pattern(d)
+            assert is_lu_pattern(lu)
+            for _ in range(50):
+                # drop, add or move entries of lu(d), or take a random pattern
+                masks = tuple(
+                    frozenset(
+                        (r, c) for r in range(d) for c in range(d)
+                        if ((r, c) in m) != (rng.random() < 0.15)
+                    )
+                    for m in lu.masks
+                )
+                if rng.random() < 0.3:
+                    masks = (masks[1], masks[0])
+                pattern = SupportPattern(dims=(d, d, d), masks=masks)
+                assert is_lu_pattern(pattern) == (pattern == lu)
 
 
 class TestRestrictToHidden:

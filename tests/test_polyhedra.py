@@ -195,7 +195,27 @@ class TestDropRedundant:
                 assert contains(poly, point) == contains(cleaned, point)
 
 
+class TestCanonicalForm:
+    def test_elimination_output_is_a_fixed_point_of_drop_redundant(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            poly = random_system(rng, 4, 8)
+            projected = eliminate_variable(poly, int(rng.integers(0, 4)))
+            assert drop_redundant(projected) == projected
+
+    def test_drop_redundant_is_idempotent(self):
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            cleaned = drop_redundant(random_system(rng, 3, 9))
+            assert drop_redundant(cleaned) == cleaned
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("num_vars", [2.5, 2.0, True, "2", None])
+    def test_num_vars_must_be_an_integer(self, num_vars):
+        with pytest.raises(TypeError, match="num_vars"):
+            from_json({"num_vars": num_vars, "C": [[1, 0]], "y": [1]})
+
     def test_round_trip(self):
         rng = np.random.default_rng(14)
         poly = random_system(rng, 3, 5)
