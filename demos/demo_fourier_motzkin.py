@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from sparse_closure.polyhedra import (
     affine_image,
-    affine_image_set,
     contains,
     eliminate_variable,
     polyhedron,
@@ -31,7 +30,7 @@ print(f"after two eliminations: {step2.num_rows} rows")
 print("remaining system:", to_json(step2), "\n")
 
 print("image of the cube under the sum functional t = x1 + x2 + x3:")
-image = affine_image(affine_image_set([[1, 1, 1]], cube))
+image = affine_image([[1, 1, 1]], cube)
 print("image system:", to_json(image))
 for t in (0, Fraction(3, 2), 3, Fraction(31, 10), -1):
     print(f"  t = {t}: {'inside' if contains(image, [t]) else 'outside'}")

@@ -32,7 +32,6 @@ from .patterns import (
     validate_pattern,
 )
 from .polyhedra import (
-    AffineImageSet,
     RationalPolyhedron,
     affine_image,
     contains,
@@ -65,7 +64,6 @@ __all__ = [
     "QeSentenceStats",
     "RationalPolyhedron",
     "SearchStats",
-    "AffineImageSet",
     "SparseFactors",
     "SupportPattern",
     "TrainingConfig",

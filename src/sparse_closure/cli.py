@@ -3,31 +3,30 @@
 Subcommands: check, train-lu, gen-dataset, emit-smt, project.
 Exit codes: 0 success (for `check`: closed), 1 not closed and 2 unknown
 (`check` only), 3 an input file that cannot be read or parsed, 4 a bad
-argument, an exceeded grid cap or an unwritable output, 5 the
+argument, an exceeded grid or sentence cap or an unwritable output, 5 the
 Fourier-Motzkin row cap.  `main` maps every failure to one of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .closure import check_theorem5_conditions, closedness_verdict, closure_gap_witness_lu
+from .closure import Closedness, check_theorem5_conditions, closedness_verdict
 from .datasets import build_bad_dataset, write_dataset
 from .inputs import InputError, load_input, load_matrix
-from .patterns import is_lu_pattern, load_pattern
-from .polyhedra import DEFAULT_ROW_CAP, RowCapExceeded, eliminate_variable
+from .patterns import load_pattern
+from .polyhedra import DEFAULT_ROW_CAP, RationalPolyhedron, RowCapExceeded, eliminate_variable
 from .polyhedra import load as load_polyhedron
 from .polyhedra import save as save_polyhedron
 from .rational import format_matrix
 from .smt import emit_qe_sentence
 
-EXIT_CLOSED = 0
-EXIT_NOT_CLOSED = 1
-EXIT_UNKNOWN = 2
+EXIT_VERDICT = {Closedness.CLOSED: 0, Closedness.NOT_CLOSED: 1, Closedness.UNKNOWN: 2}
 EXIT_PARSE_ERROR = 3
 EXIT_USAGE = 4
 EXIT_ROW_CAP = 5
@@ -102,12 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_check(args) -> int:
     pattern = load_input(load_pattern, args.pattern)
-    verdict = closedness_verdict(pattern, smt_path=args.emit_smt)
+    verdict = closedness_verdict(pattern)
+    sentence_path = None
+    if verdict.status is Closedness.UNKNOWN and args.emit_smt is not None:
+        emit_qe_sentence(pattern, args.emit_smt)
+        sentence_path = args.emit_smt
     payload = {
         "status": verdict.status.value,
         "rule": verdict.rule,
         "witness": format_matrix(verdict.witness) if verdict.witness else None,
-        "sentence_path": verdict.sentence_path,
+        "sentence_path": sentence_path,
     }
     if args.verify_witness and verdict.witness is not None:
         import numpy as np
@@ -136,7 +139,7 @@ def cmd_check(args) -> int:
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
-    return verdict.exit_code()
+    return EXIT_VERDICT[verdict.status]
 
 
 def cmd_train_lu(args) -> int:
@@ -164,9 +167,9 @@ def cmd_gen_dataset(args) -> int:
     pattern = load_input(load_pattern, args.pattern)
     if args.a is not None:
         target = load_input(load_matrix, args.a)
-    elif is_lu_pattern(pattern) and pattern.dims[0] >= 2:
-        target = closure_gap_witness_lu(pattern.dims[0])
     else:
+        target = closedness_verdict(pattern).witness
+    if target is None:
         raise ValueError(
             "no gap witness is known for this pattern; pass --a with an explicit target matrix"
         )
@@ -183,16 +186,7 @@ def cmd_gen_dataset(args) -> int:
 def cmd_emit_smt(args) -> int:
     pattern = load_input(load_pattern, args.pattern)
     stats = emit_qe_sentence(pattern, args.out)
-    print(
-        json.dumps(
-            {
-                "path": args.out,
-                "num_polynomials": stats.num_polynomials,
-                "max_degree": stats.max_degree,
-                "num_variables": stats.num_variables,
-            }
-        )
-    )
+    print(json.dumps({"path": args.out, **dataclasses.asdict(stats)}))
     return 0
 
 
@@ -203,11 +197,14 @@ def cmd_project(args) -> int:
     keep = sorted({int(tok) - 1 for tok in args.keep.split(",") if tok.strip()})
     if not keep or any(not (0 <= k < poly.num_vars) for k in keep):
         raise ValueError(f"--keep must name 1-based variables within 1..{poly.num_vars}")
-    eliminate = [i for i in range(poly.num_vars) if i not in keep]
     before = poly.num_rows
-    # eliminate from the highest index so remaining indices stay valid
-    for idx in sorted(eliminate, reverse=True):
-        poly = eliminate_variable(poly, idx, row_cap=args.row_cap)
+    if before == 0:
+        # no rows is the whole space, of any declared width
+        poly = RationalPolyhedron(len(keep), (), ())
+    else:
+        # eliminate from the highest index so remaining indices stay valid
+        for idx in sorted(set(range(poly.num_vars)).difference(keep), reverse=True):
+            poly = eliminate_variable(poly, idx, row_cap=args.row_cap)
     save_polyhedron(poly, args.out)
     print(f"rows before: {before}, rows after: {poly.num_rows}")
     return 0
@@ -229,7 +226,7 @@ def main(argv=None) -> int:
     except RowCapExceeded as exc:
         failure, code = exc, EXIT_ROW_CAP
     except (ValueError, OSError) as exc:
-        # a bad argument value or grid cap (TooManyPoints), or an unwritable output
+        # a bad argument value, a grid (TooManyPoints) or sentence cap, or an unwritable output
         failure, code = exc, EXIT_USAGE
     print(f"error: {failure}", file=sys.stderr)
     return code

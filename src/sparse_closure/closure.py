@@ -1,8 +1,9 @@
 """Structural closedness rules for masked factorization sets.
 
 The decision procedure is a fixed-order rule dispatch; when no rule applies
-the honest answer is Unknown, optionally backed by an emitted solver file
-(see sparse_closure.smt).  Membership tests are exact rational, never float.
+the honest answer is Unknown, which the command line can back with an
+emitted solver file (see sparse_closure.smt).  Verdicts are pure values: no
+call here writes a file.  Membership tests are exact rational, never float.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class ClosednessVerdict:
     status: Closedness
     rule: Optional[str] = None
     witness: Optional[RationalMatrix] = None
-    sentence_path: Optional[str] = None
-
-    def exit_code(self) -> int:
-        return {Closedness.CLOSED: 0, Closedness.NOT_CLOSED: 1, Closedness.UNKNOWN: 2}[self.status]
 
 
 def lu_membership(a) -> bool:
@@ -80,15 +77,15 @@ def closure_gap_witness_lu(d: int) -> RationalMatrix:
     )
 
 
-def closedness_verdict(pattern: SupportPattern, smt_path=None) -> ClosednessVerdict:
+def closedness_verdict(pattern: SupportPattern) -> ClosednessVerdict:
     """Fixed-order structural dispatch.
 
     1. one layer: the set is a coordinate subspace, closed;
     2. two layers, scalar output: isomorphic to a coordinate subspace, closed;
     3. two layers, both masks full: all matrices of bounded rank, closed;
     4. the triangular lower-upper pattern: not closed, anti-diagonal witness;
-    5. otherwise unknown; when smt_path is given, a solver file for the
-       closedness sentence is emitted and referenced in the verdict.
+    5. otherwise unknown (smt.emit_qe_sentence writes the sentence that
+       would decide it).
     """
     if pattern.depth == 1:
         return ClosednessVerdict(Closedness.CLOSED, rule=RULE_SINGLE_LAYER)
@@ -102,13 +99,7 @@ def closedness_verdict(pattern: SupportPattern, smt_path=None) -> ClosednessVerd
             rule=RULE_LU_GAP,
             witness=closure_gap_witness_lu(pattern.dims[0]),
         )
-    sentence_path = None
-    if smt_path is not None:
-        from .smt import emit_qe_sentence
-
-        emit_qe_sentence(pattern, smt_path)
-        sentence_path = str(smt_path)
-    return ClosednessVerdict(Closedness.UNKNOWN, sentence_path=sentence_path)
+    return ClosednessVerdict(Closedness.UNKNOWN)
 
 
 @dataclass(frozen=True)

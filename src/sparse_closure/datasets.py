@@ -26,6 +26,11 @@ class FreeCubeNotFound(RuntimeError):
     """
 
 
+# a refused grid's point count is printed only up to this many bits (about
+# 3,900 digits, inside the interpreter's 4,300-digit limit for str(int))
+PRINTED_COUNT_BITS = 13_000
+
+
 class TooManyPoints(ValueError):
     """The requested grid would materialize more points than the cap allows."""
 
@@ -190,6 +195,11 @@ def build_bad_dataset(
     if p < 1:
         raise ValueError("resolution must be positive")
     grid = Grid(resolution=p, dimension=pattern.input_dim)
+    # (p+1)^N0 has between N0 * (bits - 1) and N0 * bits bits: a count too
+    # long to print is compared with the cap by bit lengths, unbuilt
+    n0, bits = grid.dimension, (p + 1).bit_length()
+    if n0 * bits > PRINTED_COUNT_BITS and n0 * (bits - 1) >= point_cap.bit_length():
+        raise TooManyPoints(f"grid would hold more than {point_cap} points{hint}")
     if grid.cardinality > point_cap:
         raise TooManyPoints(f"grid would hold {grid.cardinality} points, cap is {point_cap}{hint}")
     inputs = tuple(grid.points())

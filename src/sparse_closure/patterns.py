@@ -221,33 +221,18 @@ class SparseFactors:
         if len(self.factors) != self.pattern.depth:
             raise ValueError("one factor per layer required")
         for i, f in enumerate(self.factors):
-            shape = _shape_of(f)
-            if shape != self.pattern.layer_shape(i):
+            # a rational factor becomes an object array; a ragged one is 1-d
+            arr = f if isinstance(f, np.ndarray) else np.array(f, dtype=object)
+            if arr.shape != self.pattern.layer_shape(i):
                 raise ValueError(
-                    f"factor {i + 1} has shape {shape}, expected {self.pattern.layer_shape(i)}"
+                    f"factor {i + 1} has shape {arr.shape}, expected {self.pattern.layer_shape(i)}"
                 )
-            mask = self.pattern.masks[i]
-            n_rows, n_cols = shape
-            for r in range(n_rows):
-                for c in range(n_cols):
-                    if (r, c) not in mask and _entry(f, r, c) != 0:
-                        raise ValueError(
-                            f"factor {i + 1} has a nonzero off-mask entry at ({r + 1},{c + 1})"
-                        )
-
-
-def _shape_of(f) -> tuple[int, int]:
-    if isinstance(f, np.ndarray):
-        if f.ndim != 2:
-            raise ValueError("factors must be 2-dimensional")
-        return f.shape[0], f.shape[1]
-    return len(f), len(f[0]) if f else 0
-
-
-def _entry(f, r: int, c: int):
-    if isinstance(f, np.ndarray):
-        return f[r, c]
-    return f[r][c]
+            off_mask = np.argwhere((arr != 0) & ~self.pattern.mask_array(i))
+            if len(off_mask):
+                r, c = off_mask[0]
+                raise ValueError(
+                    f"factor {i + 1} has a nonzero off-mask entry at ({r + 1},{c + 1})"
+                )
 
 
 def chain_product(mats, mul=operator.matmul):

@@ -144,23 +144,23 @@ def eliminate_variable(
     return _prune(_normalize(poly.num_vars - 1, combined))
 
 
-def drop_redundant(poly: RationalPolyhedron, pair_limit: int = PAIR_LIMIT) -> RationalPolyhedron:
+def drop_redundant(poly: RationalPolyhedron) -> RationalPolyhedron:
     """Cheap redundancy pruning that preserves the represented set.
 
     Always removes duplicates and rhs-dominated copies (handled by
     canonicalization) plus rows implied by a nonnegative combination of at
     most two other rows.  The pairwise stage is O(m^3) in the worst case and
-    is skipped above pair_limit rows.
+    is skipped above PAIR_LIMIT rows.
     """
-    return _prune(_normalize(poly.num_vars, zip(poly.rows, poly.rhs)), pair_limit)
+    return _prune(_normalize(poly.num_vars, zip(poly.rows, poly.rhs)))
 
 
-def _prune(poly: RationalPolyhedron, pair_limit: int = PAIR_LIMIT) -> RationalPolyhedron:
+def _prune(poly: RationalPolyhedron) -> RationalPolyhedron:
     """The pairwise stage of drop_redundant on a normalized system; the rows
     it keeps stay canonical, unique and sorted."""
     rows = list(zip(poly.rows, poly.rhs))
     m = len(rows)
-    if m <= 2 or m > pair_limit:
+    if m <= 2 or m > PAIR_LIMIT:
         return poly
     keep = [True] * m
     for r in range(m):
@@ -218,38 +218,22 @@ def _two_row_combination(row_a, row_b, target):
     return None
 
 
-@dataclass(frozen=True)
-class AffineImageSet:
-    """{Az : z in base} for a rational matrix A over the base polyhedron."""
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-    base: RationalPolyhedron
-
-    def __post_init__(self):
-        if not self.matrix:
-            raise ValueError("affine image needs at least one output coordinate")
-        if any(len(row) != self.base.num_vars for row in self.matrix):
-            raise ValueError("matrix width must equal the base dimension")
-
-
-def affine_image_set(matrix, base: RationalPolyhedron) -> AffineImageSet:
-    return AffineImageSet(
-        matrix=rational_matrix(matrix),
-        base=base,
-    )
-
-
-def affine_image(img: AffineImageSet, row_cap: int = DEFAULT_ROW_CAP) -> RationalPolyhedron:
-    """Halfspace description of the image: introduce t = Az as two
-    inequalities per output, stack the base constraints, then eliminate all
-    original variables."""
-    n = img.base.num_vars
-    p = len(img.matrix)
+def affine_image(matrix, base: RationalPolyhedron, row_cap: int = DEFAULT_ROW_CAP) -> RationalPolyhedron:
+    """Halfspace description of {Az : z in base} for a rational matrix A:
+    introduce t = Az as two inequalities per output, stack the base
+    constraints, then eliminate all original variables."""
+    a = rational_matrix(matrix)
+    if not a:
+        raise ValueError("affine image needs at least one output coordinate")
+    n = base.num_vars
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix width must equal the base dimension")
+    p = len(a)
     rows = []
     zero_t = (Fraction(0),) * p
-    for row, b in zip(img.base.rows, img.base.rhs):
+    for row, b in zip(base.rows, base.rhs):
         rows.append((row + zero_t, b))
-    for k, arow in enumerate(img.matrix):
+    for k, arow in enumerate(a):
         t_pos = tuple(Fraction(1) if i == k else Fraction(0) for i in range(p))
         t_neg = tuple(-v for v in t_pos)
         # t_k - A[k,:] z <= 0 and A[k,:] z - t_k <= 0

@@ -7,6 +7,7 @@ weight entries are exactly 0.0 after initialization and after every update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,10 +153,13 @@ class TrainingConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        # chained comparisons are false for NaN, so NaN fails each check
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

@@ -9,6 +9,7 @@ external solver's problem; no termination promise is made (or possible) here.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .patterns import SupportPattern
@@ -24,8 +25,26 @@ class QeSentenceStats:
     num_variables: int
 
 
+# most variables, and most monomials in one masked product, that a sentence
+# may hold: it keeps each file to a few megabytes, and no quantifier
+# elimination finishes on a sentence of that size anyway
+SENTENCE_CAP = 10_000
+
+
 def expected_variable_count(pattern: SupportPattern) -> int:
     return pattern.output_dim * pattern.input_dim + 1 + 2 * sum(pattern.mask_sizes())
+
+
+def monomial_count(pattern: SupportPattern) -> int:
+    """Monomials of the masked product, one per path through the masks,
+    counted per node layer by layer without expanding them."""
+    paths = Counter(r for r, _ in pattern.masks[0])
+    for mask in pattern.masks[1:]:
+        nxt = Counter()
+        for r, k in mask:
+            nxt[r] += paths[k]
+        paths = nxt
+    return sum(paths.values())
 
 
 def _product_monomials(pattern: SupportPattern, prefix: str) -> dict[tuple[int, int], list[tuple[str, ...]]]:
@@ -80,10 +99,16 @@ def _factor_vars(pattern: SupportPattern, prefix: str) -> list[str]:
 def emit_qe_sentence(pattern: SupportPattern, out_path) -> QeSentenceStats:
     """Write the sentence to out_path and return its shape statistics.
 
-    The statistics are recomputed from the emitted text (declared constants
+    A pattern whose sentence would exceed SENTENCE_CAP variables or product
+    monomials raises ValueError before anything is built or written.  The
+    statistics are recomputed from the emitted text (declared constants
     plus quantifier-bound variables) and checked against the closed-form
     count before returning; a mismatch raises RuntimeError.
     """
+    if expected_variable_count(pattern) > SENTENCE_CAP or monomial_count(pattern) > SENTENCE_CAP:
+        raise ValueError(
+            f"the sentence would hold more than {SENTENCE_CAP} variables or product monomials"
+        )
     a_vars = [
         f"a_{i + 1}_{j + 1}"
         for i in range(pattern.output_dim)

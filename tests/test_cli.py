@@ -7,7 +7,7 @@ import pytest
 
 from sparse_closure.cli import main
 from sparse_closure.patterns import dense_pattern, lu_pattern, pattern_to_json
-from sparse_closure.smt import count_variables
+from sparse_closure.smt import SENTENCE_CAP, count_variables
 
 
 def write_pattern(path, pattern):
@@ -41,6 +41,14 @@ class TestCheck:
         assert payload["status"] == "unknown"
         assert payload["sentence_path"] == str(smt)
         assert smt.exists()
+
+    @pytest.mark.parametrize("pattern, code", [(dense_pattern((4, 3, 1)), 0), (lu_pattern(2), 1)])
+    def test_decided_pattern_emits_no_sentence(self, tmp_path, capsys, pattern, code):
+        f = write_pattern(tmp_path / "p.json", pattern)
+        smt = tmp_path / "p.smt2"
+        assert main(["check", "--pattern", f, "--emit-smt", str(smt)]) == code
+        assert json.loads(capsys.readouterr().out)["sentence_path"] is None
+        assert not smt.exists()
 
     def test_parse_failure_exit_3(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -145,6 +153,19 @@ class TestGenDataset:
         assert f"3*N0*4^{hidden} would hold more than 10000000 points" in err
         assert "digits" not in err
 
+    def test_huge_resolution_refused_without_printing_the_count(self, tmp_path, capsys):
+        # (p+1)^3 has 4,500 digits, past what str() of an int allows
+        f = tmp_path / "three.json"
+        f.write_text(json.dumps({"dims": [3, 1, 1], "masks": [[], []]}))
+        a_file = tmp_path / "a.json"
+        a_file.write_text(json.dumps([["1", "0", "1"]]))
+        code = main(["gen-dataset", "--pattern", str(f), "--a", str(a_file), "--p", "1" + "0" * 1500,
+                     "--out", str(tmp_path / "d")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "grid would hold more than 10000000 points" in err
+        assert "digits" not in err
+
 
 class TestEmitSmt:
     def test_stats_match_formula(self, lu2_file, tmp_path, capsys):
@@ -155,6 +176,20 @@ class TestEmitSmt:
         assert stats["num_polynomials"] == 2
         assert stats["max_degree"] == 4
         assert count_variables(out.read_text()) == 17
+
+    # 10^10 target variables; and 36 * 6^6 monomials per product from a 2 KB file
+    @pytest.mark.parametrize("pattern", [
+        {"dims": [10**5, 1, 10**5], "masks": [[], []]},
+        pattern_to_json(dense_pattern((6,) * 8)),
+    ], ids=["wide", "deep"])
+    @pytest.mark.parametrize("command", [["emit-smt", "--out"], ["check", "--emit-smt"]])
+    def test_sentence_over_the_cap_refused_before_writing(self, tmp_path, capsys, pattern, command):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(pattern))
+        out = tmp_path / "p.smt2"
+        assert main([command[0], "--pattern", str(f), command[1], str(out)]) == 4
+        assert f"more than {SENTENCE_CAP}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestProject:
@@ -184,6 +219,21 @@ class TestProject:
         data = json.loads(out.read_text())
         assert any(all(c == "0" for c in row) and b.startswith("-")
                    for row, b in zip(data["C"], data["y"]))
+
+    def test_empty_system_of_any_width(self, tmp_path):
+        # no rows is the whole space: nothing is eliminated one variable at a time
+        src = tmp_path / "wide.json"
+        src.write_text(json.dumps({"num_vars": 10**9, "C": [], "y": []}))
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparse_closure.cli", "project", "--input", str(src), "--keep", "1",
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text()) == {"num_vars": 1, "C": [], "y": []}
 
     def test_bad_keep_indices(self, tmp_path, capsys):
         src = tmp_path / "p.json"
@@ -305,6 +355,12 @@ FAILURES = [
                                 "--out", "{tmp}/file/o.json"], 4),
     ("train-lu-short-of-one-batch", ["train-lu", "--d", "2", "--samples", "10", "--batch-size", "20",
                                      "--out", "{tmp}/t"], 4),
+    ("train-lu-decay-nan", ["train-lu", "--d", "2", "--samples", "40", "--batch-size", "20", "--epochs", "2",
+                            "--runs", "1", "--weight-decay", "nan", "--out", "{tmp}/t"], 4),
+    ("train-lu-lr-nan", ["train-lu", "--d", "2", "--samples", "40", "--batch-size", "20", "--epochs", "2",
+                         "--runs", "1", "--lr", "nan", "--out", "{tmp}/t"], 4),
+    ("train-lu-lr-negative", ["train-lu", "--d", "2", "--samples", "40", "--batch-size", "20", "--epochs", "2",
+                              "--runs", "1", "--lr", "-0.1", "--out", "{tmp}/t"], 4),
     ("train-lu-unwritable-out", ["train-lu", "--d", "2", "--samples", "20", "--batch-size", "10",
                                  "--epochs", "1", "--runs", "1", "--workers", "1",
                                  "--out", "{tmp}/file/t"], 4),
@@ -344,6 +400,8 @@ def test_failure_exit_codes(tmp_path, argv, code):
     if argv[0] == "check":
         # 0, 1 and 2 are verdicts; a failure must never read as one
         assert proc.returncode not in (0, 1, 2)
+    if argv[0] == "train-lu":
+        assert not list(tmp_path.rglob("trace_*.csv"))
 
 
 class TestConsoleScript:

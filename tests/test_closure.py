@@ -3,6 +3,7 @@ import pytest
 
 from sparse_closure.closure import (
     Closedness,
+    ClosednessVerdict,
     check_theorem5_conditions,
     closedness_verdict,
     lu_membership,
@@ -56,16 +57,15 @@ class TestClosednessVerdict:
         assert v.status is Closedness.UNKNOWN
         assert v.rule is None
 
-    def test_unknown_with_sentence_emission(self, tmp_path):
-        path = tmp_path / "probe.smt2"
+    def test_unknown_verdict_writes_nothing(self, tmp_path, monkeypatch):
+        # the verdict is a value; writing the solver sentence is the CLI's job
+        monkeypatch.chdir(tmp_path)
         pattern = SupportPattern(
             dims=(2, 2, 2),
             masks=(frozenset({(0, 0), (1, 1)}), frozenset({(0, 0), (1, 1)})),
         )
-        v = closedness_verdict(pattern, smt_path=path)
-        assert v.status is Closedness.UNKNOWN
-        assert v.sentence_path == str(path)
-        assert path.exists()
+        assert closedness_verdict(pattern) == ClosednessVerdict(Closedness.UNKNOWN)
+        assert list(tmp_path.iterdir()) == []
 
     def test_lu_family_not_closed(self):
         for d in (2, 3, 4):

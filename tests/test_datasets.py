@@ -171,10 +171,17 @@ class TestBuildBadDataset:
             build_bad_dataset(closure_gap_witness_lu(4), lu_pattern(4))
 
     def test_point_cap_with_override(self):
-        with pytest.raises(TooManyPoints):
+        with pytest.raises(TooManyPoints, match="grid would hold 121 points, cap is 100"):
             build_bad_dataset(
                 closure_gap_witness_lu(2), lu_pattern(2), p_override=10, point_cap=100
             )
+
+    def test_wide_grid_refused_before_the_count_is_built(self, monkeypatch):
+        # 2^(10^6) points: 301,030 digits, too long for str()
+        monkeypatch.setattr(Grid, "cardinality", property(lambda grid: pytest.fail("the count was built")))
+        pattern = SupportPattern(dims=(10**6, 1, 1), masks=(frozenset(), frozenset()))
+        with pytest.raises(TooManyPoints, match="grid would hold more than 10000000 points"):
+            build_bad_dataset(np.zeros((1, 10**6), dtype=int), pattern, p_override=1)
 
     def test_integer_numpy_target(self):
         expected, _ = build_bad_dataset(((0, 1), (1, 0)), lu_pattern(2), p_override=2)

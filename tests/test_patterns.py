@@ -232,6 +232,18 @@ class TestProduct:
         with pytest.raises(ValueError, match="off-mask"):
             SparseFactors(pattern=lu_pattern(2), factors=(bad, np.eye(2)))
 
+    def test_ragged_rational_factor_rejected(self):
+        upper = ((Fraction(1), Fraction(1)), (Fraction(0),))
+        lower = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)))
+        with pytest.raises(ValueError, match="shape"):
+            SparseFactors(pattern=lu_pattern(2), factors=(upper, lower))
+
+    def test_first_off_mask_entry_reported(self):
+        # row-major order: (2,1) comes before (3,1) and (3,2)
+        bad = np.tril(np.ones((3, 3)))
+        with pytest.raises(ValueError, match=r"factor 1 has a nonzero off-mask entry at \(2,1\)"):
+            SparseFactors(pattern=lu_pattern(3), factors=(bad, np.eye(3)))
+
     def test_masking_before_product_changes_nothing(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

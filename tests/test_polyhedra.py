@@ -11,7 +11,6 @@ import pytest
 from sparse_closure.polyhedra import (
     RowCapExceeded,
     affine_image,
-    affine_image_set,
     contains,
     drop_redundant,
     eliminate_variable,
@@ -125,20 +124,29 @@ class TestAffineImage:
     def test_identity_image_is_same_set(self):
         rng = np.random.default_rng(5)
         poly = random_system(rng, 2, 5)
-        image = affine_image(affine_image_set([[1, 0], [0, 1]], poly))
+        image = affine_image([[1, 0], [0, 1]], poly)
         for _ in range(60):
             point = random_point(rng, 2)
             assert contains(image, point) == contains(poly, point)
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([], "at least one output coordinate"),
+        ([[1, 1, 1]], "matrix width must equal the base dimension"),
+    ])
+    def test_malformed_matrix_rejected(self, matrix, message):
+        square = polyhedron(2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0])
+        with pytest.raises(ValueError, match=message):
+            affine_image(matrix, square)
+
     def test_sum_over_unit_square(self):
         square = polyhedron(2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0])
-        image = affine_image(affine_image_set([[1, 1]], square))
+        image = affine_image([[1, 1]], square)
         assert contains(image, [0]) and contains(image, [2]) and contains(image, [1])
         assert not contains(image, [Fraction(21, 10)]) and not contains(image, [Fraction(-1, 10)])
 
     def test_infeasible_base_propagates(self):
         bad = polyhedron(1, [[1], [-1]], [0, -1])
-        image = affine_image(affine_image_set([[1]], bad))
+        image = affine_image([[1]], bad)
         assert any(
             all(c == 0 for c in row) and b < 0
             for row, b in zip(image.rows, image.rhs)
@@ -151,7 +159,7 @@ class TestAffineImage:
             [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
             [1, 0, 1, 0, 1, 0],
         )
-        image = affine_image(affine_image_set([[1, 1, 1]], cube))
+        image = affine_image([[1, 1, 1]], cube)
         assert contains(image, [3]) and contains(image, [0])
         assert not contains(image, [Fraction(31, 10)])
 

@@ -251,6 +251,21 @@ class TestLossAndGrad:
             loss_and_grad(params, np.zeros((1, 0)), np.zeros((1, 0)))
 
 
+class TestTrainingConfig:
+    @pytest.mark.parametrize("setting", [
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": 0.0},
+        {"learning_rate": -0.1},
+        {"weight_decay": float("nan")},
+        {"weight_decay": float("inf")},
+        {"weight_decay": -1e-4},
+    ])
+    def test_setting_that_cannot_train_rejected(self, setting):
+        with pytest.raises(ValueError):
+            TrainingConfig(**setting)
+
+
 class TestSgdStep:
     def test_zero_grad_zero_decay_is_identity(self):
         rng = np.random.default_rng(7)

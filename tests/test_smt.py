@@ -107,6 +107,13 @@ class TestEmission:
             assert stats.num_variables == formula_count(pattern)
             assert count_vars_independent(text) == formula_count(pattern)
 
+    def test_monomial_count_matches_the_expansion(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            pattern = random_pattern(rng)
+            monos = smt._product_monomials(pattern, "x")
+            assert smt.monomial_count(pattern) == sum(len(m) for m in monos.values())
+
     def test_monomials_have_one_variable_per_layer(self, tmp_path):
         path = tmp_path / "deep.smt2"
         emit_qe_sentence(dense_pattern((1, 1, 1, 1)), path)
