@@ -4,7 +4,9 @@ optimal parameters, and show the grid machinery it rests on.
 Run from the repository root:  python demos/demo_pathological_dataset.py
 """
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from sparse_closure import (
     build_bad_dataset,
@@ -27,8 +29,10 @@ pattern = lu_pattern(2)
 witness = closure_gap_witness_lu(2)
 dataset, p = build_bad_dataset(witness, pattern)
 print(f"  resolution {p}, {len(dataset)} labeled points, targets y = Ax exact")
-write_dataset(dataset, "/tmp/lu2_full.csv", "/tmp/lu2_full.json", witness, pattern, p)
-print("  written to /tmp/lu2_full.csv (+ header json)\n")
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = Path(tmp) / "lu2_full.csv"
+    write_dataset(dataset, csv_path, Path(tmp) / "lu2_full.json", witness, pattern, p)
+    print(f"  written as CSV ({csv_path.stat().st_size} bytes, + header json)\n")
 
 print("practical training sets use a small override (divergence shows anyway):")
 dataset, p = build_bad_dataset(witness, pattern, p_override=4)

@@ -40,6 +40,7 @@ from .polyhedra import (
 )
 from .relu import (
     NetworkParams,
+    StackTrace,
     TrainingConfig,
     TrainingTrace,
     forward,
@@ -65,6 +66,7 @@ __all__ = [
     "RationalPolyhedron",
     "SearchStats",
     "SparseFactors",
+    "StackTrace",
     "SupportPattern",
     "TrainingConfig",
     "TrainingTrace",

@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True, help="output directory for trace CSVs")
     train.add_argument("--paper-scale", action="store_true",
                        help="d=100, 1e5 samples, batch 3000 (minutes instead of seconds)")
-    train.add_argument("--workers", type=int, help="parallel seed processes")
 
     gen = sub.add_parser("gen-dataset", help="grid dataset labeled by an unattainable linear target")
     gen.add_argument("--pattern", required=True, help="pattern JSON file")
@@ -154,7 +153,7 @@ def cmd_train_lu(args) -> int:
     spec = desk_spec(args.regularized, args.out, **overrides)
     # an unwritable --out fails here, before minutes of training
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(spec, workers=args.workers)
+    result = run_experiment(spec)
     paths = write_experiment(spec, result)
     diverged = sum(t.diverged for t in result.traces)
     print(f"wrote {len(paths)} files under {spec.out_dir}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .patterns import SupportPattern, pattern_to_json
-from .rational import as_fraction, format_fraction, format_matrix, matrix, matvec, vector
+from .rational import as_fraction, format_fraction, format_matrix, matrix, matvec, row_lengths, vector
 
 
 class FreeCubeNotFound(RuntimeError):
@@ -173,10 +173,9 @@ def build_bad_dataset(
     practical cap almost immediately; training-scale sets pass p_override
     (small grids already exhibit the divergence phenomenon).
     """
-    rows = matrix(a)
-    if len(rows) != pattern.output_dim or any(
-        len(r) != pattern.input_dim for r in rows
-    ):
+    # shape and grid caps first: converting a wide target is the slow part
+    lengths = row_lengths(a)
+    if len(lengths) != pattern.output_dim or any(n != pattern.input_dim for n in lengths):
         raise ValueError(
             f"target matrix must be {pattern.output_dim} x {pattern.input_dim}"
         )
@@ -202,6 +201,7 @@ def build_bad_dataset(
         raise TooManyPoints(f"grid would hold more than {point_cap} points{hint}")
     if grid.cardinality > point_cap:
         raise TooManyPoints(f"grid would hold {grid.cardinality} points, cap is {point_cap}{hint}")
+    rows = matrix(a)
     inputs = tuple(grid.points())
     targets = tuple(matvec(rows, x) for x in inputs)
     return LabeledDataset(inputs=inputs, targets=targets), p

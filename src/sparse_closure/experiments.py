@@ -9,15 +9,16 @@ standard decay the norms stay put at the price of a worse fit.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
+# Unused here: the benchmark's tracer (bench/tracing.py) reads this name on
+# every run.  Remove it with that binding.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .patterns import lu_pattern
-from .relu import TrainingConfig, TrainingTrace, init_params, train, write_trace_csv
+from .relu import NetworkParams, TrainingConfig, TrainingTrace, init_params, train, write_trace_csv
 
 # Desk-scale defaults: small enough for laptop minutes, stepped enough for the
 # divergence signature to show inside 200 epochs.  The initialization scale is
@@ -33,6 +34,12 @@ DESK_INIT_SCALE = 2.2
 PAPER_SCALE = {"dimension": 100, "num_samples": 100_000, "batch_size": 3000, "init_scale": 1.0}
 
 STANDARD_WEIGHT_DECAY = 5e-4
+
+# All seeds of an experiment train in one process with their data resident:
+# runs * d * (samples + 4d) float64 values of data, weights and velocities,
+# about 800 MB at PAPER_SCALE with 10 runs.  Larger experiments are refused
+# before anything is allocated.
+RESIDENT_BYTES_CAP = 2**30
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,12 @@ class ExperimentSpec:
             raise ValueError("need at least one full batch of samples")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        resident = 8 * self.runs * self.dimension * (self.num_samples + 4 * self.dimension)
+        if resident > RESIDENT_BYTES_CAP:
+            raise ValueError(
+                f"{self.runs} runs at d={self.dimension} with {self.num_samples} samples would hold "
+                f"{resident} bytes of data and weights, cap is {RESIDENT_BYTES_CAP}"
+            )
 
     @property
     def regularized(self) -> bool:
@@ -74,25 +87,6 @@ def anti_diagonal_identity(d: int) -> np.ndarray:
     return np.fliplr(np.eye(d))
 
 
-def run_single_seed(spec: ExperimentSpec, run_index: int) -> tuple[TrainingTrace, float, float]:
-    """Train one seed; returns (trace, initial |W1|_F, initial |W2|_F).
-
-    The per-run stream is seeded by (config.seed, run_index), and the data,
-    the initialization and the shuffles all consume it in a fixed order, so
-    results are bit-reproducible regardless of scheduling.
-    """
-    rng = np.random.default_rng([spec.config.seed, run_index])
-    d = spec.dimension
-    target = anti_diagonal_identity(d)
-    inputs = rng.uniform(-1.0, 1.0, size=(d, spec.num_samples))
-    targets = target @ inputs
-    params = init_params(lu_pattern(d), rng, scale=spec.init_scale)
-    w1_init = float(np.linalg.norm(params.weights[0]))
-    w2_init = float(np.linalg.norm(params.weights[1]))
-    trace = train(params, inputs, targets, target, spec.config, rng)
-    return trace, w1_init, w2_init
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     traces: tuple[TrainingTrace, ...]
@@ -111,24 +105,38 @@ class ExperimentResult:
         return out
 
 
-def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentResult:
-    """All seeds of one experiment, optionally in parallel processes.
+def _train_runs(spec: ExperimentSpec, runs) -> ExperimentResult:
+    """The given runs of spec, trained together as one stack.
 
-    Seeds are independent; results are collected in seed order so the output
-    does not depend on scheduling.
+    Run r draws from its own stream, seeded by (config.seed, r): its data,
+    then its initialization, then one shuffle per epoch.  So a run's result
+    is bit-reproducible and does not depend on which runs share its stack.
     """
-    if workers is None:
-        workers = min(spec.runs, os.cpu_count() or 1)
-    if workers <= 1 or spec.runs == 1:
-        rows = [run_single_seed(spec, r) for r in range(spec.runs)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_single_seed, [spec] * spec.runs, range(spec.runs)))
-    return ExperimentResult(
-        traces=tuple(r[0] for r in rows),
-        initial_w1=tuple(r[1] for r in rows),
-        initial_w2=tuple(r[2] for r in rows),
-    )
+    d, n = spec.dimension, spec.num_samples
+    pattern = lu_pattern(d)
+    rngs = [np.random.default_rng([spec.config.seed, r]) for r in runs]
+    samples = np.empty((len(rngs), n, d))  # run-major rows, the layout train gathers from
+    networks = []
+    for rng, rows in zip(rngs, samples):
+        rows[...] = rng.uniform(-1.0, 1.0, size=(d, n)).T
+        networks.append(init_params(pattern, rng, scale=spec.init_scale))
+    w1 = tuple(float(np.linalg.norm(net.weights[0])) for net in networks)
+    w2 = tuple(float(np.linalg.norm(net.weights[1])) for net in networks)
+    result = train(NetworkParams.stack(networks), samples.swapaxes(1, 2), anti_diagonal_identity(d),
+                   spec.config, rngs)
+    return ExperimentResult(traces=tuple(result.traces), initial_w1=w1, initial_w2=w2)
+
+
+def run_single_seed(spec: ExperimentSpec, run_index: int) -> tuple[TrainingTrace, float, float]:
+    """Train one seed; returns (trace, initial |W1|_F, initial |W2|_F), the
+    same as run_index's entries in run_experiment's result."""
+    result = _train_runs(spec, [run_index])
+    return result.traces[0], result.initial_w1[0], result.initial_w2[0]
+
+
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """All seeds of one experiment, trained together as one stack."""
+    return _train_runs(spec, range(spec.runs))
 
 
 def write_experiment(spec: ExperimentSpec, result: ExperimentResult) -> list[Path]:

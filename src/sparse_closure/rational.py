@@ -59,6 +59,12 @@ def vector(values) -> RationalVector:
     return tuple(as_fraction(x) for x in _as_list(values, "rationals"))
 
 
+def row_lengths(rows) -> tuple[int, ...]:
+    """The length of each row `matrix` would read, with its TypeError for
+    what is not a list; the entries are not converted."""
+    return tuple(len(_as_list(row, "rationals")) for row in _as_list(rows, "rows"))
+
+
 def matrix(rows) -> RationalMatrix:
     """A list or tuple of rows (or a 2-d numpy array) as a rational matrix."""
     out = tuple(vector(row) for row in _as_list(rows, "rows"))

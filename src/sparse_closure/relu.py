@@ -8,6 +8,7 @@ weight entries are exactly 0.0 after initialization and after every update.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,9 @@ DIVERGENCE_NORM = 1e8
 
 @dataclass
 class NetworkParams:
-    """Masked weights and biases for one network; mutated in place by training."""
+    """Masked weights and biases of one network, or of a stack of S networks
+    on one pattern with a leading network axis on every array (weights
+    (S, N_out, N_in), biases (S, N_out)); mutated in place by training."""
 
     pattern: SupportPattern
     weights: list[np.ndarray]
@@ -41,6 +44,25 @@ class NetworkParams:
             biases=[b.copy() for b in self.biases],
         )
 
+    @classmethod
+    def stack(cls, networks) -> "NetworkParams":
+        """Networks on one pattern as one stack, in order (copied)."""
+        return cls(
+            pattern=networks[0].pattern,
+            weights=[np.stack(ws) for ws in zip(*(n.weights for n in networks))],
+            biases=[np.stack(bs) for bs in zip(*(n.biases for n in networks))],
+        )
+
+    def select(self, index) -> "NetworkParams":
+        """Networks of a stack, indexed along the network axis: an integer
+        gives one network as a view, a boolean or integer array a copied
+        stack."""
+        return NetworkParams(
+            pattern=self.pattern,
+            weights=[w[index] for w in self.weights],
+            biases=[b[index] for b in self.biases],
+        )
+
 
 def init_params(pattern: SupportPattern, rng: np.random.Generator, scale: float = 1.0) -> NetworkParams:
     """Uniform(-scale/sqrt(fan_in), +scale/sqrt(fan_in)) per layer, then masked."""
@@ -57,10 +79,11 @@ def init_params(pattern: SupportPattern, rng: np.random.Generator, scale: float 
 
 def _preactivations(params: NetworkParams, x: np.ndarray) -> list[np.ndarray]:
     """Pre-activations z_1, ..., z_L of a batch x of shape (N_0, P), each of
-    shape (N_i, P).  ReLU applies between layers; z_L is the output."""
-    zs = [params.weights[0] @ x + params.biases[0][:, None]]
+    shape (N_i, P), or (S, N_0, P) and (S, N_i, P) for a stack of S networks.
+    ReLU applies between layers; z_L is the output."""
+    zs = [params.weights[0] @ x + params.biases[0][..., None]]
     for w, b in zip(params.weights[1:], params.biases[1:]):
-        zs.append(w @ np.maximum(zs[-1], 0.0) + b[:, None])
+        zs.append(w @ np.maximum(zs[-1], 0.0) + b[..., None])
     return zs
 
 
@@ -115,30 +138,35 @@ def loss_and_grad(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray
 
     Averaging over output coordinates as well as the batch keeps learning
     rates meaningful across output widths (the standard MSE convention).
-    inputs is (N_0, P), targets (N_L, P), P >= 1.
+    inputs is (N_0, P), targets (N_L, P), P >= 1.  For a stack of S networks
+    they are (S, N_0, P) and (S, N_L, P), network s sees batch s, and the
+    loss is an array of the S networks' losses.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ValueError("inputs and targets must be 2-d with matching batch size")
-    if x.shape[1] == 0:
+    ndim = params.weights[0].ndim
+    if x.ndim != ndim or y.ndim != ndim or x.shape[-1] != y.shape[-1]:
+        raise ValueError(
+            "inputs and targets must be 2-d (3-d for a stack of networks) with matching batch size"
+        )
+    if x.shape[-1] == 0:
         raise ValueError("empty batch")
     depth = params.pattern.depth
     pre = _preactivations(params, x)
     residual = pre[-1] - y
-    denom = y.size
-    loss = float(np.sum(residual**2) / denom)
+    denom = y.shape[-2] * y.shape[-1]
+    loss = np.sum(residual**2, axis=(-2, -1)) / denom
 
     w_grads = [None] * depth
     b_grads = [None] * depth
     delta = 2.0 * residual / denom
     for i in reversed(range(depth)):
         layer_input = np.maximum(pre[i - 1], 0.0) if i > 0 else x
-        w_grads[i] = (delta @ layer_input.T) * params.mask_arrays[i]
-        b_grads[i] = delta.sum(axis=1)
+        w_grads[i] = (delta @ layer_input.swapaxes(-1, -2)) * params.mask_arrays[i]
+        b_grads[i] = delta.sum(axis=-1)
         if i > 0:
-            delta = (params.weights[i].T @ delta) * (pre[i - 1] > 0.0)
-    return loss, Gradients(weights=w_grads, biases=b_grads)
+            delta = (params.weights[i].swapaxes(-1, -2) @ delta) * (pre[i - 1] > 0.0)
+    return (float(loss) if ndim == 2 else loss), Gradients(weights=w_grads, biases=b_grads)
 
 
 @dataclass(frozen=True)
@@ -178,7 +206,8 @@ def sgd_step(
     config: TrainingConfig,
 ) -> None:
     """One momentum step with standard (coupled) weight decay:
-    v <- momentum v + grad + decay p;  p <- p - lr v;  then mask projection."""
+    v <- momentum v + grad + decay p;  p <- p - lr v;  then mask projection.
+    Elementwise, so it steps a stack of networks as it steps one."""
     for p, g, v in zip(
         params.weights + params.biases,
         grads.weights + grads.biases,
@@ -191,7 +220,7 @@ def sgd_step(
 
 
 def metrics(params: NetworkParams, inputs, targets, target_matrix) -> tuple[float, float]:
-    """(relative empirical loss, relative Jacobian loss) for two-layer nets.
+    """(relative empirical loss, relative Jacobian loss) of one two-layer net.
 
     Relative empirical: mean over samples of |R(x_i) - y_i|^2 / |y_i|^2,
     samples with y_i = 0 excluded.  Relative Jacobian:
@@ -249,43 +278,94 @@ def write_trace_csv(path, columns: dict) -> None:
             fh.write(",".join([str(int(epoch))] + [repr(float(v)) for v in values]) + "\n")
 
 
+@dataclass
+class StackTrace:
+    """The traces of a stack of networks trained together, in stack order."""
+
+    traces: list[TrainingTrace]
+
+    def __len__(self) -> int:
+        """Epochs the stack ran: those of its longest-training network."""
+        return max(len(t) for t in self.traces)
+
+
 def train(
     params: NetworkParams,
     inputs: np.ndarray,
-    targets: np.ndarray,
     target_matrix: np.ndarray,
     config: TrainingConfig,
-    rng: np.random.Generator,
-) -> TrainingTrace:
-    """Epoch loop of shuffled minibatch SGD; params are updated in place.
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> TrainingTrace | StackTrace:
+    """Epoch loop of shuffled minibatch SGD toward the targets
+    target_matrix @ x; params are updated in place.
 
-    Metrics are recorded on the full dataset after every epoch.  If any
-    weight norm is non-finite or passes the divergence guard the trace is
-    flagged and training halts cleanly.
+    One network takes inputs (N_0, P) and a generator, and returns its
+    TrainingTrace.  A stack of S networks takes inputs (S, N_0, P), network s
+    training on inputs[s], and a sequence of S generators, and returns a
+    StackTrace.  The networks take their steps together, each on batches
+    drawn from its own generator, so a network's trace does not depend on
+    which others share its stack.
+
+    Metrics are recorded per network on its full dataset after every epoch.
+    A network whose weight norm is non-finite or passes the divergence guard
+    has its trace flagged and leaves the stack; the others train on.
     """
+    single = params.weights[0].ndim == 2
     x = np.asarray(inputs, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    n = x.shape[1]
-    velocity = zero_velocity(params)
-    trace = TrainingTrace()
+    rngs = [rng] if single else list(rng)
+    if single:
+        params = NetworkParams(params.pattern, [w[None] for w in params.weights],
+                               [b[None] for b in params.biases])
+        x = x[None]
+    count = len(params.weights[0])
+    if x.ndim != 3 or len(x) != count or len(rngs) != count:
+        raise ValueError(
+            "expected inputs (N_0, P) for one network, or (S, N_0, P) and S generators "
+            f"for a stack of S = {count} networks"
+        )
+    a = np.asarray(target_matrix, dtype=float)
+    _, n0, n = x.shape
+    # network s owns rows s*n .. s*n + n-1, so a batch of the stack is one take
+    samples = np.ascontiguousarray(x.swapaxes(1, 2)).reshape(count * n, n0)
+    traces = [TrainingTrace() for _ in range(count)]
+    live = np.arange(count)
+    stack, velocity = params, zero_velocity(params)
     for _ in range(config.epochs):
-        order = rng.permutation(n)
+        rows = np.stack([rngs[s].permutation(n) for s in live]) + n * live[:, None]
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            _, grads = loss_and_grad(params, x[:, idx], y[:, idx])
-            sgd_step(params, grads, velocity, config)
-        rel_emp, rel_jac = metrics(params, x, y, target_matrix)
-        w1 = float(np.linalg.norm(params.weights[0]))
-        w2 = float(np.linalg.norm(params.weights[1]))
-        trace.rel_empirical.append(rel_emp)
-        trace.rel_jacobian.append(rel_jac)
-        trace.w1_norms.append(w1)
-        trace.w2_norms.append(w2)
-        # NaN compares false, so non-finite norms trip the guard as well
-        if not (w1 <= DIVERGENCE_NORM and w2 <= DIVERGENCE_NORM):
-            trace.diverged = True
-            break
-    return trace
+            batch = samples.take(rows[:, start : start + config.batch_size], axis=0).swapaxes(1, 2)
+            _, grads = loss_and_grad(stack, batch, a @ batch)
+            sgd_step(stack, grads, velocity, config)
+        stay = np.ones(len(live), dtype=bool)
+        for k, s in enumerate(live):
+            network, data = stack.select(k), samples[s * n : (s + 1) * n].T
+            rel_emp, rel_jac = metrics(network, data, a @ data, a)
+            w1, w2 = (float(np.linalg.norm(w)) for w in network.weights)
+            trace = traces[s]
+            trace.rel_empirical.append(rel_emp)
+            trace.rel_jacobian.append(rel_jac)
+            trace.w1_norms.append(w1)
+            trace.w2_norms.append(w2)
+            # NaN compares false, so non-finite norms trip the guard as well
+            stay[k] = w1 <= DIVERGENCE_NORM and w2 <= DIVERGENCE_NORM
+            trace.diverged = not stay[k]
+        if not stay.all():
+            # the caller's arrays get each network's last values, the flagged
+            # ones' included, before the stack shrinks to a copy
+            _write_back(params, stack, live)
+            live, stack = live[stay], stack.select(stay)
+            velocity = Gradients([v[stay] for v in velocity.weights], [v[stay] for v in velocity.biases])
+            if not live.size:
+                break
+    if stack is not params:
+        _write_back(params, stack, live)
+    return traces[0] if single else StackTrace(traces)
+
+
+def _write_back(params: NetworkParams, stack: NetworkParams, live: np.ndarray) -> None:
+    """Copy the networks of `stack` into positions `live` of `params`."""
+    for dst, src in zip(params.weights + params.biases, stack.weights + stack.biases):
+        dst[live] = src
 
 
 def normalize_first_layer(params: NetworkParams, bound: float) -> NetworkParams:

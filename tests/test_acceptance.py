@@ -183,7 +183,7 @@ def test_criterion_3_divergence_experiment(tmp_path):
     stats = {}
     for regularized in (False, True):
         spec = desk_spec(regularized, tmp_path)
-        result = run_experiment(spec, workers=2)
+        result = run_experiment(spec)
         rj = float(np.mean([t.rel_jacobian[-1] for t in result.traces]))
         max_growth = float(
             np.mean(

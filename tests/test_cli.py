@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from sparse_closure.cli import main
+from sparse_closure.experiments import (
+    ExperimentResult,
+    desk_spec,
+    run_experiment,
+    run_single_seed,
+    write_experiment,
+)
 from sparse_closure.patterns import dense_pattern, lu_pattern, pattern_to_json
 from sparse_closure.smt import SENTENCE_CAP, count_variables
 
@@ -242,25 +249,34 @@ class TestProject:
 
 
 class TestTrainLu:
-    def test_seed_reproducibility_and_workers_equivalence(self, tmp_path, capsys):
+    def test_seed_reproducibility_and_single_seed_equivalence(self, tmp_path, capsys):
+        # the CLI trains both seeds as one stack; each seed trained alone
+        # must give the same bytes, and so must a second run
         common = [
             "train-lu", "--d", "3", "--samples", "120", "--epochs", "3",
             "--batch-size", "40", "--seed", "5", "--runs", "2",
         ]
         outs = []
-        for tag, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+        for tag in ("a", "b"):
             out_dir = tmp_path / tag
-            assert main(common + ["--out", str(out_dir), "--workers", workers]) == 0
-            outs.append(sorted(p.read_bytes() for p in out_dir.glob("*.csv")))
+            assert main(common + ["--out", str(out_dir)]) == 0
+            outs.append({p.name: p.read_bytes() for p in out_dir.glob("*.csv")})
         capsys.readouterr()
-        assert outs[0] == outs[1] == outs[2]
+        spec = desk_spec(False, tmp_path / "alone", dimension=3, num_samples=120, epochs=3,
+                         batch_size=40, seed=5, runs=2)
+        alone = ExperimentResult(*map(tuple, zip(*(run_single_seed(spec, r) for r in range(spec.runs)))))
+        write_experiment(spec, alone)
+        assert len(outs[0]) == 3
+        assert outs[0] == outs[1] == {p.name: p.read_bytes() for p in spec.out_dir.glob("*.csv")}
+        stacked = run_experiment(spec)
+        assert (stacked.initial_w1, stacked.initial_w2) == (alone.initial_w1, alone.initial_w2)
 
     def test_regularized_flag_sets_decay(self, tmp_path, capsys):
         out_dir = tmp_path / "reg"
         assert main([
             "train-lu", "--d", "3", "--samples", "60", "--epochs", "2",
             "--batch-size", "30", "--runs", "1", "--regularized",
-            "--out", str(out_dir), "--workers", "1",
+            "--out", str(out_dir),
         ]) == 0
         capsys.readouterr()
         names = {p.name for p in out_dir.glob("*.csv")}
@@ -275,7 +291,7 @@ class TestTrainLu:
         out_dir = tmp_path / "t"
         assert main([
             "train-lu", "--d", "2", "--samples", "40", "--epochs", "1",
-            "--batch-size", "20", "--runs", "1", "--out", str(out_dir), "--workers", "1", *flags,
+            "--batch-size", "20", "--runs", "1", "--out", str(out_dir), *flags,
         ]) == 0
         capsys.readouterr()
         assert sorted(p.name for p in out_dir.glob("*.csv")) == [
@@ -286,7 +302,7 @@ class TestTrainLu:
         out_dir = tmp_path / "t"
         main([
             "train-lu", "--d", "2", "--samples", "40", "--epochs", "2",
-            "--batch-size", "20", "--runs", "1", "--out", str(out_dir), "--workers", "1",
+            "--batch-size", "20", "--runs", "1", "--out", str(out_dir),
         ])
         capsys.readouterr()
         seed_csv = next(p for p in out_dir.glob("trace_*_run0.csv"))
@@ -362,8 +378,12 @@ FAILURES = [
     ("train-lu-lr-negative", ["train-lu", "--d", "2", "--samples", "40", "--batch-size", "20", "--epochs", "2",
                               "--runs", "1", "--lr", "-0.1", "--out", "{tmp}/t"], 4),
     ("train-lu-unwritable-out", ["train-lu", "--d", "2", "--samples", "20", "--batch-size", "10",
-                                 "--epochs", "1", "--runs", "1", "--workers", "1",
+                                 "--epochs", "1", "--runs", "1",
                                  "--out", "{tmp}/file/t"], 4),
+    # refused by the resident-memory cap before anything is allocated
+    ("train-lu-huge-d", ["train-lu", "--d", "100000", "--out", "{tmp}/t"], 4),
+    ("train-lu-huge-samples", ["train-lu", "--d", "2", "--samples", "10000000000", "--out", "{tmp}/t"], 4),
+    ("train-lu-huge-runs", ["train-lu", "--runs", "1000000", "--out", "{tmp}/t"], 4),
 ]
 
 

@@ -179,6 +179,7 @@ class TestBuildBadDataset:
     def test_wide_grid_refused_before_the_count_is_built(self, monkeypatch):
         # 2^(10^6) points: 301,030 digits, too long for str()
         monkeypatch.setattr(Grid, "cardinality", property(lambda grid: pytest.fail("the count was built")))
+        monkeypatch.setattr(datasets, "matrix", lambda a: pytest.fail("the target was converted"))
         pattern = SupportPattern(dims=(10**6, 1, 1), masks=(frozenset(), frozenset()))
         with pytest.raises(TooManyPoints, match="grid would hold more than 10000000 points"):
             build_bad_dataset(np.zeros((1, 10**6), dtype=int), pattern, p_override=1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,29 @@ class TestLossAndGrad:
         params = single_neuron_params(1, 0, 1, 0)
         with pytest.raises(ValueError, match="empty"):
             loss_and_grad(params, np.zeros((1, 0)), np.zeros((1, 0)))
+
+    def test_stack_matches_each_network(self):
+        # a stack's losses, gradients and momentum step are those of its
+        # networks taken one at a time, bit for bit
+        rng = np.random.default_rng(8)
+        config = TrainingConfig(learning_rate=0.05, weight_decay=1e-3)
+        for _ in range(10):
+            first = random_two_layer_params(rng)
+            networks = [first] + [init_params(first.pattern, rng) for _ in range(2)]
+            n0, n2 = first.pattern.input_dim, first.pattern.output_dim
+            x = rng.uniform(-1, 1, size=(3, n0, 5))
+            y = rng.uniform(-1, 1, size=(3, n2, 5))
+            stack = NetworkParams.stack(networks)
+            losses, grads = loss_and_grad(stack, x, y)
+            sgd_step(stack, grads, zero_velocity(stack), config)
+            for s, net in enumerate(networks):
+                loss, g = loss_and_grad(net, x[s], y[s])
+                assert losses[s] == loss
+                for a, b in zip(grads.weights + grads.biases, g.weights + g.biases):
+                    assert np.array_equal(a[s], b)
+                sgd_step(net, g, zero_velocity(net), config)
+                for a, b in zip(stack.weights + stack.biases, net.weights + net.biases):
+                    assert np.array_equal(a[s], b)
 
 
 class TestTrainingConfig:
@@ -508,9 +533,8 @@ class TestTrain:
         def run():
             rng = np.random.default_rng(99)
             x = rng.uniform(-1, 1, size=(3, 64))
-            y = a @ x
             params = init_params(pattern, rng)
-            return train(params, x, y, a, config, rng)
+            return train(params, x, a, config, rng)
 
         t1, t2 = run(), run()
         assert len(t1) == 5 and not t1.diverged
@@ -524,7 +548,7 @@ class TestTrain:
         x = rng.uniform(-1, 1, size=(2, 8))
         a = np.fliplr(np.eye(2))
         params = init_params(pattern, rng)
-        trace = train(params, x, a @ x, a, config, rng)
+        trace = train(params, x, a, config, rng)
         assert trace.diverged is True
         assert len(trace) < 50
 
@@ -536,7 +560,7 @@ class TestTrain:
         a = np.fliplr(np.eye(3))
         params = init_params(pattern, rng)
         params.weights[0][0, 0] = np.nan
-        trace = train(params, x, a @ x, a, config, rng)
+        trace = train(params, x, a, config, rng)
         assert trace.diverged is True
         assert len(trace) == 1
 
@@ -547,9 +571,51 @@ class TestTrain:
         x = rng.uniform(-1, 1, size=(2, 16))
         a = np.fliplr(np.eye(2))
         params = init_params(pattern, rng)
-        trace = train(params, x, a @ x, a, config, rng)
+        trace = train(params, x, a, config, rng)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,rel_empirical,rel_jacobian,frob_W1,frob_W2"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("poison", ["nan", "large"])
+    def test_flagged_network_leaves_the_stack(self, poison):
+        # network 1 trips the divergence guard after its first epoch; the
+        # others train on exactly as they would alone, and nothing warns
+        pattern = lu_pattern(3)
+        config = TrainingConfig(batch_size=16, epochs=4)
+        a = np.fliplr(np.eye(3))
+        data = np.random.default_rng(5).uniform(-1, 1, size=(3, 3, 32))
+        networks = [init_params(pattern, np.random.default_rng(s)) for s in range(3)]
+        if poison == "nan":
+            networks[1].weights[0][0, 0] = np.nan
+        else:
+            for w in networks[1].weights:
+                w *= 1e5
+        stack = NetworkParams.stack(networks)
+        alone = [train(net, x, a, config, np.random.default_rng([9, s]))
+                 for s, (net, x) in enumerate(zip(networks, data))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = train(stack, data, a, config, [np.random.default_rng([9, s]) for s in range(3)])
+        assert len(result) == 4
+        flagged = result.traces[1]
+        assert flagged.diverged and len(flagged) == 1
+        for name, column in flagged.columns().items():
+            assert np.array_equal(column, alone[1].columns()[name], equal_nan=True)
+        for s in (0, 2):
+            assert not result.traces[s].diverged and result.traces[s] == alone[s]
+        # the stack's arrays end at each network's last values, the flagged one's included
+        for s, net in enumerate(networks):
+            for a_s, b in zip(stack.select(s).weights + stack.select(s).biases, net.weights + net.biases):
+                assert np.array_equal(a_s, b, equal_nan=True)
+
+    def test_stack_needs_inputs_and_a_generator_per_network(self):
+        pattern = lu_pattern(2)
+        stack = NetworkParams.stack([init_params(pattern, np.random.default_rng(s)) for s in range(2)])
+        a = np.fliplr(np.eye(2))
+        config = TrainingConfig(batch_size=4, epochs=1)
+        x = np.zeros((2, 2, 8))
+        for inputs, rngs in ((x[0], [np.random.default_rng(0)] * 2), (x, [np.random.default_rng(0)])):
+            with pytest.raises(ValueError, match="S = 2 networks"):
+                train(stack, inputs, a, config, rngs)
