@@ -16,14 +16,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .closure import Closedness, check_theorem5_conditions, closedness_verdict
-from .datasets import build_bad_dataset, write_dataset
-from .inputs import InputError, load_input, load_matrix
+from .closure import DEFAULT_MAX_HIDDEN, Closedness, check_theorem5_conditions, closedness_verdict
+from .datasets import DEFAULT_POINT_CAP, build_bad_dataset, dataset_resolution, write_dataset
+from .inputs import InputError, load_input, load_rows, parsing
 from .patterns import load_pattern
 from .polyhedra import DEFAULT_ROW_CAP, RationalPolyhedron, RowCapExceeded, eliminate_variable
 from .polyhedra import load as load_polyhedron
 from .polyhedra import save as save_polyhedron
-from .rational import format_matrix
+from .rational import format_matrix, matrix, row_lengths
 from .smt import emit_qe_sentence
 
 EXIT_VERDICT = {Closedness.CLOSED: 0, Closedness.NOT_CLOSED: 1, Closedness.UNKNOWN: 2}
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="decide or bound closedness of a pattern")
     check.add_argument("--pattern", required=True, help="pattern JSON file")
     check.add_argument("--emit-smt", metavar="PATH", help="write the solver sentence here when undecided")
-    check.add_argument("--max-hidden-enum", type=int, default=16,
+    check.add_argument("--max-hidden-enum", type=int, default=DEFAULT_MAX_HIDDEN,
                        help="cap on N_1 for the 2^N_1 sufficient-condition enumeration")
     check.add_argument("--verify-witness", action="store_true",
                        help="back a not-closed verdict with the numerical infimum search")
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=int, default=None, help="grid resolution override")
     gen.add_argument("--a", metavar="FILE", default=None,
                      help="JSON matrix of rational strings to use as the target")
-    gen.add_argument("--point-cap", type=int, default=10_000_000)
+    gen.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
     gen.add_argument("--out", required=True, help="output prefix (.csv and .json are appended)")
 
     emit = sub.add_parser("emit-smt", help="write the closedness sentence for a pattern")
@@ -165,7 +165,12 @@ def cmd_train_lu(args) -> int:
 def cmd_gen_dataset(args) -> int:
     pattern = load_input(load_pattern, args.pattern)
     if args.a is not None:
-        target = load_input(load_matrix, args.a)
+        rows = load_input(load_rows, args.a)
+        # refuse on the file's shape and the grid caps before converting its
+        # entries, the slow part for a wide target
+        dataset_resolution(row_lengths(rows), pattern, args.p, args.point_cap)
+        with parsing(args.a):
+            target = matrix(rows)
     else:
         target = closedness_verdict(pattern).witness
     if target is None:

@@ -35,6 +35,10 @@ RULE_SCALAR_OUTPUT = "scalar-output-row-support"
 RULE_DENSE_RANK = "dense-bounded-rank"
 RULE_LU_GAP = "lu-antidiagonal-gap"
 
+# the sufficient condition enumerates 2^N_1 hidden subsets; wider patterns
+# are refused unless the caller raises the cap
+DEFAULT_MAX_HIDDEN = 16
+
 
 @dataclass(frozen=True)
 class ClosednessVerdict:
@@ -139,15 +143,15 @@ class SufficiencyReport:
 
 
 def check_theorem5_conditions(
-    pattern: SupportPattern, max_hidden: int = 16
+    pattern: SupportPattern, max_hidden: int = DEFAULT_MAX_HIDDEN
 ) -> SufficiencyReport:
     """Evaluate the two-part sufficient condition for a two-layer pattern.
 
     Enumerates all 2^{N_1} - 1 nonempty hidden subsets, so N_1 is capped
-    (default 16, override consciously).  Each subset's pattern is compressed
-    onto its hidden neurons, which drops every connection through the others,
-    before the rule dispatch; that is what lets the scalar-output and
-    bounded-rank rules recognize it.
+    (default DEFAULT_MAX_HIDDEN, override consciously).  Each subset's
+    pattern is compressed onto its hidden neurons, which drops every
+    connection through the others, before the rule dispatch; that is what
+    lets the scalar-output and bounded-rank rules recognize it.
     """
     if pattern.depth != 2:
         raise ValueError("the sufficient condition applies to two-layer patterns")

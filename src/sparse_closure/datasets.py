@@ -31,6 +31,10 @@ class FreeCubeNotFound(RuntimeError):
 PRINTED_COUNT_BITS = 13_000
 
 
+# most grid points a dataset may hold unless the caller raises the cap
+DEFAULT_POINT_CAP = 10_000_000
+
+
 class TooManyPoints(ValueError):
     """The requested grid would materialize more points than the cap allows."""
 
@@ -161,20 +165,10 @@ class LabeledDataset:
         return len(self.inputs)
 
 
-def build_bad_dataset(
-    a,
-    pattern: SupportPattern,
-    p_override: int | None = None,
-    point_cap: int = 10_000_000,
-) -> tuple[LabeledDataset, int]:
-    """Grid inputs on [0,1]^{N_0} labeled by x -> Ax, plus the resolution used.
-
-    With no override the theoretical resolution applies, which exceeds any
-    practical cap almost immediately; training-scale sets pass p_override
-    (small grids already exhibit the divergence phenomenon).
-    """
-    # shape and grid caps first: converting a wide target is the slow part
-    lengths = row_lengths(a)
+def dataset_resolution(lengths, pattern: SupportPattern, p_override: int | None, point_cap: int) -> int:
+    """The grid resolution of build_bad_dataset for a target whose rows have
+    the given lengths.  A wrong shape or a grid above point_cap is refused
+    before the grid is built or the target converted."""
     if len(lengths) != pattern.output_dim or any(n != pattern.input_dim for n in lengths):
         raise ValueError(
             f"target matrix must be {pattern.output_dim} x {pattern.input_dim}"
@@ -201,7 +195,24 @@ def build_bad_dataset(
         raise TooManyPoints(f"grid would hold more than {point_cap} points{hint}")
     if grid.cardinality > point_cap:
         raise TooManyPoints(f"grid would hold {grid.cardinality} points, cap is {point_cap}{hint}")
+    return p
+
+
+def build_bad_dataset(
+    a,
+    pattern: SupportPattern,
+    p_override: int | None = None,
+    point_cap: int = DEFAULT_POINT_CAP,
+) -> tuple[LabeledDataset, int]:
+    """Grid inputs on [0,1]^{N_0} labeled by x -> Ax, plus the resolution used.
+
+    With no override the theoretical resolution applies, which exceeds any
+    practical cap almost immediately; training-scale sets pass p_override
+    (small grids already exhibit the divergence phenomenon).
+    """
+    p = dataset_resolution(row_lengths(a), pattern, p_override, point_cap)
     rows = matrix(a)
+    grid = Grid(resolution=p, dimension=pattern.input_dim)
     inputs = tuple(grid.points())
     targets = tuple(matvec(rows, x) for x in inputs)
     return LabeledDataset(inputs=inputs, targets=targets), p

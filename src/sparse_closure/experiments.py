@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .patterns import lu_pattern
-from .relu import NetworkParams, TrainingConfig, TrainingTrace, init_params, train, write_trace_csv
+from .relu import TrainingConfig, TrainingTrace, init_params, train, write_trace_csv
 
 # Desk-scale defaults: small enough for laptop minutes, stepped enough for the
 # divergence signature to show inside 200 epochs.  The initialization scale is
@@ -122,8 +122,7 @@ def _train_runs(spec: ExperimentSpec, runs) -> ExperimentResult:
         networks.append(init_params(pattern, rng, scale=spec.init_scale))
     w1 = tuple(float(np.linalg.norm(net.weights[0])) for net in networks)
     w2 = tuple(float(np.linalg.norm(net.weights[1])) for net in networks)
-    result = train(NetworkParams.stack(networks), samples.swapaxes(1, 2), anti_diagonal_identity(d),
-                   spec.config, rngs)
+    result = train(networks, samples.swapaxes(1, 2), anti_diagonal_identity(d), spec.config, rngs)
     return ExperimentResult(traces=tuple(result.traces), initial_w1=w1, initial_w2=w2)
 
 

@@ -31,6 +31,12 @@ _NORM_GUARD = 1e13  # beyond this, least squares conditioning is gone
 _STALL_ROUNDS = 12
 _STALL_RTOL = 1e-2
 
+# The polish solves an (N_L*N_0 + M) x M float64 system over the M mask
+# entries, the largest array a search allocates.  A search whose system
+# would pass this many bytes (the budget of experiments.RESIDENT_BYTES_CAP)
+# is refused before anything is allocated.
+SYSTEM_BYTES_CAP = 2**30
+
 
 @dataclass(frozen=True)
 class SearchStats:
@@ -69,6 +75,7 @@ def infimum_oracle(
     each) across all restarts.  Returns the best factors found and the
     largest single-factor Frobenius norm seen along the accepted iterates,
     which is the quantity that diverges when the infimum is unattained.
+    Patterns whose polish system would pass SYSTEM_BYTES_CAP are refused.
     """
     A = np.asarray(target, dtype=float)
     if A.shape != (pattern.output_dim, pattern.input_dim):
@@ -82,8 +89,13 @@ def infimum_oracle(
         raise ValueError("budget must be a positive iteration count")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    entries = sum(pattern.mask_sizes())
+    system_bytes = 8 * (A.size + entries) * entries
+    if system_bytes > SYSTEM_BYTES_CAP:
+        raise ValueError(f"a search over {entries} mask entries would solve a "
+                         f"{system_bytes}-byte system, cap is {SYSTEM_BYTES_CAP}")
 
-    masks = [pattern.mask_array(i) for i in range(pattern.depth)]
+    masks = pattern.mask_arrays
     mask_entries = [np.nonzero(m) for m in masks]
     per_restart = max(budget // restarts, pattern.depth)
 

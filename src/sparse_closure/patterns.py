@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,12 +66,16 @@ class SupportPattern:
         """Shape of the i-th factor/weight matrix, i in 0..depth-1."""
         return self.dims[i + 1], self.dims[i]
 
-    def mask_array(self, i: int) -> np.ndarray:
-        """Boolean mask matrix for layer i (True where entries may be nonzero)."""
-        out = np.zeros(self.layer_shape(i), dtype=bool)
-        for r, c in self.masks[i]:
-            out[r, c] = True
-        return out
+    @cached_property
+    def mask_arrays(self) -> tuple[np.ndarray, ...]:
+        """Boolean mask matrix of each layer (True where entries may be
+        nonzero), built on first use and read-only, so every caller shares it."""
+        arrays = tuple(np.zeros(self.layer_shape(i), dtype=bool) for i in range(self.depth))
+        for out, mask in zip(arrays, self.masks):
+            for r, c in mask:
+                out[r, c] = True
+            out.flags.writeable = False
+        return arrays
 
     def is_full(self, i: int) -> bool:
         n_rows, n_cols = self.layer_shape(i)
@@ -227,7 +232,7 @@ class SparseFactors:
                 raise ValueError(
                     f"factor {i + 1} has shape {arr.shape}, expected {self.pattern.layer_shape(i)}"
                 )
-            off_mask = np.argwhere((arr != 0) & ~self.pattern.mask_array(i))
+            off_mask = np.argwhere((arr != 0) & ~self.pattern.mask_arrays[i])
             if len(off_mask):
                 r, c = off_mask[0]
                 raise ValueError(
@@ -260,10 +265,8 @@ def product(factors: SparseFactors):
 
 def masked_factors(pattern: SupportPattern, arrays: Sequence[np.ndarray]) -> SparseFactors:
     """Zero off-mask entries of the given arrays and wrap as SparseFactors."""
-    cleaned = []
-    for i, arr in enumerate(arrays):
-        cleaned.append(np.where(pattern.mask_array(i), arr, 0.0))
-    return SparseFactors(pattern=pattern, factors=tuple(cleaned))
+    cleaned = tuple(np.where(m, arr, 0.0) for m, arr in zip(pattern.mask_arrays, arrays))
+    return SparseFactors(pattern=pattern, factors=cleaned)
 
 
 def random_factors(pattern: SupportPattern, rng: np.random.Generator, scale: float = 1.0) -> SparseFactors:

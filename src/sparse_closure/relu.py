@@ -28,13 +28,8 @@ class NetworkParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def __post_init__(self):
-        # cached boolean masks: rebuilding them from index sets would dominate
-        # the SGD inner loop
-        self.mask_arrays = [self.pattern.mask_array(i) for i in range(self.pattern.depth)]
-
     def project_masks(self) -> None:
-        for w, m in zip(self.weights, self.mask_arrays):
+        for w, m in zip(self.weights, self.pattern.mask_arrays):
             w *= m
 
     def copy(self) -> "NetworkParams":
@@ -51,16 +46,6 @@ class NetworkParams:
             pattern=networks[0].pattern,
             weights=[np.stack(ws) for ws in zip(*(n.weights for n in networks))],
             biases=[np.stack(bs) for bs in zip(*(n.biases for n in networks))],
-        )
-
-    def select(self, index) -> "NetworkParams":
-        """Networks of a stack, indexed along the network axis: an integer
-        gives one network as a view, a boolean or integer array a copied
-        stack."""
-        return NetworkParams(
-            pattern=self.pattern,
-            weights=[w[index] for w in self.weights],
-            biases=[b[index] for b in self.biases],
         )
 
 
@@ -162,7 +147,7 @@ def loss_and_grad(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray
     delta = 2.0 * residual / denom
     for i in reversed(range(depth)):
         layer_input = np.maximum(pre[i - 1], 0.0) if i > 0 else x
-        w_grads[i] = (delta @ layer_input.swapaxes(-1, -2)) * params.mask_arrays[i]
+        w_grads[i] = (delta @ layer_input.swapaxes(-1, -2)) * params.pattern.mask_arrays[i]
         b_grads[i] = delta.sum(axis=-1)
         if i > 0:
             delta = (params.weights[i].swapaxes(-1, -2) @ delta) * (pre[i - 1] > 0.0)
@@ -290,82 +275,71 @@ class StackTrace:
 
 
 def train(
-    params: NetworkParams,
+    networks: Sequence[NetworkParams],
     inputs: np.ndarray,
     target_matrix: np.ndarray,
     config: TrainingConfig,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> TrainingTrace | StackTrace:
+    rngs: Sequence[np.random.Generator],
+) -> StackTrace:
     """Epoch loop of shuffled minibatch SGD toward the targets
-    target_matrix @ x; params are updated in place.
+    target_matrix @ x, for S networks on one pattern; one network is a list
+    of one.  Inputs are (S, N_0, P): network s trains on inputs[s], on
+    batches drawn from rngs[s].
 
-    One network takes inputs (N_0, P) and a generator, and returns its
-    TrainingTrace.  A stack of S networks takes inputs (S, N_0, P), network s
-    training on inputs[s], and a sequence of S generators, and returns a
-    StackTrace.  The networks take their steps together, each on batches
-    drawn from its own generator, so a network's trace does not depend on
-    which others share its stack.
-
-    Metrics are recorded per network on its full dataset after every epoch.
-    A network whose weight norm is non-finite or passes the divergence guard
-    has its trace flagged and leaves the stack; the others train on.
+    The networks take their steps together as one stack, so a network's
+    trace does not depend on which others train with it.  Metrics are
+    recorded per network on its full dataset after every epoch, and each
+    network's arrays are updated in place to its values at that point.  A
+    network whose weight norm is non-finite or passes the divergence guard
+    has its trace flagged and leaves the stack, keeping the values of that
+    epoch; the others train on.
     """
-    single = params.weights[0].ndim == 2
+    networks, rngs = list(networks), list(rngs)
     x = np.asarray(inputs, dtype=float)
-    rngs = [rng] if single else list(rng)
-    if single:
-        params = NetworkParams(params.pattern, [w[None] for w in params.weights],
-                               [b[None] for b in params.biases])
-        x = x[None]
-    count = len(params.weights[0])
-    if x.ndim != 3 or len(x) != count or len(rngs) != count:
-        raise ValueError(
-            "expected inputs (N_0, P) for one network, or (S, N_0, P) and S generators "
-            f"for a stack of S = {count} networks"
-        )
+    count = len(networks)
+    if not count or x.ndim != 3 or len(x) != count or len(rngs) != count:
+        raise ValueError(f"expected inputs (S, N_0, P) and S generators for S = {count} networks")
+    if any(net.pattern != networks[0].pattern for net in networks):
+        raise ValueError("networks trained together must share one pattern")
     a = np.asarray(target_matrix, dtype=float)
     _, n0, n = x.shape
     # network s owns rows s*n .. s*n + n-1, so a batch of the stack is one take
     samples = np.ascontiguousarray(x.swapaxes(1, 2)).reshape(count * n, n0)
     traces = [TrainingTrace() for _ in range(count)]
     live = np.arange(count)
-    stack, velocity = params, zero_velocity(params)
+    stack = NetworkParams.stack(networks)
+    velocity = zero_velocity(stack)
     for _ in range(config.epochs):
-        rows = np.stack([rngs[s].permutation(n) for s in live]) + n * live[:, None]
-        for start in range(0, n, config.batch_size):
-            batch = samples.take(rows[:, start : start + config.batch_size], axis=0).swapaxes(1, 2)
-            _, grads = loss_and_grad(stack, batch, a @ batch)
-            sgd_step(stack, grads, velocity, config)
         stay = np.ones(len(live), dtype=bool)
-        for k, s in enumerate(live):
-            network, data = stack.select(k), samples[s * n : (s + 1) * n].T
-            rel_emp, rel_jac = metrics(network, data, a @ data, a)
-            w1, w2 = (float(np.linalg.norm(w)) for w in network.weights)
-            trace = traces[s]
-            trace.rel_empirical.append(rel_emp)
-            trace.rel_jacobian.append(rel_jac)
-            trace.w1_norms.append(w1)
-            trace.w2_norms.append(w2)
-            # NaN compares false, so non-finite norms trip the guard as well
-            stay[k] = w1 <= DIVERGENCE_NORM and w2 <= DIVERGENCE_NORM
-            trace.diverged = not stay[k]
+        # overflow and NaN only arise in diverging networks, which the guard
+        # below flags by their norms
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.stack([rngs[s].permutation(n) for s in live]) + n * live[:, None]
+            for start in range(0, n, config.batch_size):
+                batch = samples.take(rows[:, start : start + config.batch_size], axis=0).swapaxes(1, 2)
+                _, grads = loss_and_grad(stack, batch, a @ batch)
+                sgd_step(stack, grads, velocity, config)
+            for k, s in enumerate(live):
+                network, data = networks[s], samples[s * n : (s + 1) * n].T
+                for dst, src in zip(network.weights + network.biases, stack.weights + stack.biases):
+                    dst[...] = src[k]
+                rel_emp, rel_jac = metrics(network, data, a @ data, a)
+                w1, w2 = (float(np.linalg.norm(w)) for w in network.weights)
+                trace = traces[s]
+                trace.rel_empirical.append(rel_emp)
+                trace.rel_jacobian.append(rel_jac)
+                trace.w1_norms.append(w1)
+                trace.w2_norms.append(w2)
+                # NaN compares false, so non-finite norms trip the guard as well
+                stay[k] = w1 <= DIVERGENCE_NORM and w2 <= DIVERGENCE_NORM
+                trace.diverged = not stay[k]
         if not stay.all():
-            # the caller's arrays get each network's last values, the flagged
-            # ones' included, before the stack shrinks to a copy
-            _write_back(params, stack, live)
-            live, stack = live[stay], stack.select(stay)
+            live = live[stay]
+            stack = NetworkParams(stack.pattern, [w[stay] for w in stack.weights], [b[stay] for b in stack.biases])
             velocity = Gradients([v[stay] for v in velocity.weights], [v[stay] for v in velocity.biases])
             if not live.size:
                 break
-    if stack is not params:
-        _write_back(params, stack, live)
-    return traces[0] if single else StackTrace(traces)
-
-
-def _write_back(params: NetworkParams, stack: NetworkParams, live: np.ndarray) -> None:
-    """Copy the networks of `stack` into positions `live` of `params`."""
-    for dst, src in zip(params.weights + params.biases, stack.weights + stack.biases):
-        dst[live] = src
+    return StackTrace(traces)
 
 
 def normalize_first_layer(params: NetworkParams, bound: float) -> NetworkParams:
@@ -387,17 +361,13 @@ def normalize_first_layer(params: NetworkParams, bound: float) -> NetworkParams:
     w1, b1 = out.weights[0], out.biases[0]
     w2, b2 = out.weights[1], out.biases[1]
     cap = bound * np.sqrt(params.pattern.input_dim)
-    mask_rows = [
-        sorted(c for r, c in params.pattern.masks[0] if r == i)
-        for i in range(params.pattern.dims[1])
-    ]
-    for i in range(params.pattern.dims[1]):
+    for i, allowed in enumerate(params.pattern.mask_arrays[0]):
         norm = float(np.linalg.norm(w1[i, :]))
         if norm == 0.0:
             b2 += w2[:, i] * max(b1[i], 0.0)
             w2[:, i] = 0.0
-            if mask_rows[i]:
-                w1[i, mask_rows[i][0]] = 1.0
+            if allowed.any():
+                w1[i, allowed.argmax()] = 1.0
             b1[i] = 0.0
             continue
         w1[i, :] /= norm

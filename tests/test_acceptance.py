@@ -79,7 +79,7 @@ def finite_difference_grads(params, x, y):
     )
     for li, w in enumerate(params.weights):
         for idx in np.ndindex(w.shape):
-            if not params.mask_arrays[li][idx]:
+            if not params.pattern.mask_arrays[li][idx]:
                 continue
             saved = w[idx]
             w[idx] = saved + FD_STEP

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from sparse_closure.cli import main
+from sparse_closure.cli import build_parser, main
+from sparse_closure.closure import DEFAULT_MAX_HIDDEN
+from sparse_closure.datasets import DEFAULT_POINT_CAP
 from sparse_closure.experiments import (
     ExperimentResult,
     desk_spec,
@@ -107,6 +109,19 @@ class TestCheck:
         assert proc.returncode == 1
         assert proc.stderr == ""
 
+    def test_verify_witness_refused_before_the_search_allocates(self, tmp_path, monkeypatch, capsys):
+        # lu(150)'s polish system would take 8 GB; its 2 GB sweep design
+        # must not be built either
+        from sparse_closure import infimum
+
+        def no_design(*args):
+            pytest.fail("the search started")
+
+        monkeypatch.setattr(infimum, "_design", no_design)
+        f = write_pattern(tmp_path / "lu150.json", lu_pattern(150))
+        assert main(["check", "--pattern", f, "--verify-witness", "--budget", "10"]) == 4
+        assert f"cap is {infimum.SYSTEM_BYTES_CAP}" in capsys.readouterr().err
+
     def test_verify_witness_loads_no_scipy(self, lu2_file):
         # the runtime depends on numpy alone; scipy is a test-only dependency
         script = (
@@ -172,6 +187,26 @@ class TestGenDataset:
         err = capsys.readouterr().err
         assert "grid would hold more than 10000000 points" in err
         assert "digits" not in err
+
+
+    @pytest.mark.parametrize("entry", ["0", "x"])
+    def test_wide_target_refused_before_its_entries_are_converted(self, tmp_path, monkeypatch, capsys, entry):
+        # a grid over the cap is refused on the file's shape alone, so a
+        # malformed entry in it is never read (exit 4, not 3)
+        from sparse_closure import rational
+
+        def no_conversion(x):
+            pytest.fail("an entry of --a was converted")
+
+        monkeypatch.setattr(rational, "as_fraction", no_conversion)
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps({"dims": [10_000, 1, 1], "masks": [[], []]}))
+        a_file = tmp_path / "a.json"
+        a_file.write_text(json.dumps([[entry] * 10_000]))
+        code = main(["gen-dataset", "--pattern", str(f), "--a", str(a_file), "--p", "1",
+                     "--out", str(tmp_path / "d")])
+        assert code == 4
+        assert "grid would hold more than 10000000 points" in capsys.readouterr().err
 
 
 class TestEmitSmt:
@@ -311,6 +346,18 @@ class TestTrainLu:
         agg = next(p for p in out_dir.glob("*_aggregate.csv"))
         assert agg.read_text().splitlines()[0].startswith("epoch,rel_empirical_mean")
 
+    def test_diverging_runs_write_nothing_to_stderr(self, tmp_path):
+        # the overflow of a diverging run is the guard's to report
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparse_closure.cli", "train-lu", "--d", "6", "--samples", "300",
+             "--epochs", "8", "--batch-size", "10", "--runs", "3", "--lr", "30", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert "divergence guard fired in 3/3 runs" in proc.stdout
+        assert proc.stderr == ""
+
     def test_unwritable_out_fails_before_training(self, tmp_path, monkeypatch, capsys):
         from sparse_closure import experiments
 
@@ -422,6 +469,12 @@ def test_failure_exit_codes(tmp_path, argv, code):
         assert proc.returncode not in (0, 1, 2)
     if argv[0] == "train-lu":
         assert not list(tmp_path.rglob("trace_*.csv"))
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    assert parser.parse_args(["check", "--pattern", "p"]).max_hidden_enum == DEFAULT_MAX_HIDDEN
+    assert parser.parse_args(["gen-dataset", "--pattern", "p", "--out", "o"]).point_cap == DEFAULT_POINT_CAP
 
 
 class TestConsoleScript:

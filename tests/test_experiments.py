@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from sparse_closure.experiments import (
@@ -6,6 +8,7 @@ from sparse_closure.experiments import (
     PAPER_SCALE,
     STANDARD_WEIGHT_DECAY,
     desk_spec,
+    run_experiment,
 )
 
 
@@ -36,3 +39,14 @@ class TestDeskSpec:
     def test_unknown_override_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             desk_spec(False, tmp_path, epoch=3)
+
+
+def test_diverging_runs_are_flagged_without_warnings(tmp_path):
+    # with warnings as errors, an overflow mid-epoch would raise instead of
+    # leaving the runs to the divergence guard
+    spec = desk_spec(False, tmp_path, dimension=6, num_samples=300, epochs=8, batch_size=10,
+                     runs=3, learning_rate=30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(spec)
+    assert all(t.diverged for t in result.traces)

@@ -33,7 +33,7 @@ class TestFeasibleTargets:
         target = product(random_factors(pattern, rng))
         result = infimum_oracle(target, pattern, budget=5_000, seed=0)
         for i, f in enumerate(result.factors.factors):
-            off = ~pattern.mask_array(i)
+            off = ~pattern.mask_arrays[i]
             assert np.all(f[off] == 0.0)
 
 

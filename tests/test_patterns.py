@@ -36,6 +36,19 @@ def random_two_layer(rng, max_dim=6):
     return SupportPattern(dims=dims, masks=tuple(masks))
 
 
+class TestMaskArrays:
+    def test_one_read_only_array_per_layer(self):
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            pattern = random_two_layer(rng)
+            arrays = pattern.mask_arrays
+            assert pattern.mask_arrays is arrays
+            for i, (arr, mask) in enumerate(zip(arrays, pattern.masks)):
+                assert arr.dtype == bool and arr.shape == pattern.layer_shape(i)
+                assert set(zip(*np.nonzero(arr))) == mask
+                assert not arr.flags.writeable
+
+
 class TestValidatePattern:
     def test_lu_d2_from_json(self):
         raw = {"dims": [2, 2, 2], "masks": [[[1, 1], [1, 2], [2, 2]], [[1, 1], [2, 1], [2, 2]]]}

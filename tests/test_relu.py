@@ -75,7 +75,7 @@ def fd_gradients(params, x, y):
 
     for li, w in enumerate(base.weights):
         for idx in np.ndindex(w.shape):
-            if not base.mask_arrays[li][idx]:
+            if not base.pattern.mask_arrays[li][idx]:
                 continue
             probe = base.copy()
             probe.weights[li][idx] += FD_STEP
@@ -244,7 +244,7 @@ class TestLossAndGrad:
         y = rng.uniform(-1, 1, size=(params.pattern.output_dim, 3))
         _, grads = loss_and_grad(params, x, y)
         for li in range(2):
-            off = ~params.mask_arrays[li]
+            off = ~params.pattern.mask_arrays[li]
             assert np.all(grads.weights[li][off] == 0.0)
 
     def test_empty_batch_rejected(self):
@@ -350,7 +350,7 @@ class TestSgdStep:
         config = TrainingConfig(momentum=0.9, weight_decay=1e-3, learning_rate=0.05)
         x = rng.uniform(-1, 1, size=(4, 16))
         y = rng.uniform(-1, 1, size=(4, 16))
-        off = [~params.mask_arrays[i] for i in range(2)]
+        off = [~params.pattern.mask_arrays[i] for i in range(2)]
         for _ in range(50):
             _, grads = loss_and_grad(params, x, y)
             sgd_step(params, grads, velocity, config)
@@ -520,7 +520,7 @@ class TestNormalizeFirstLayer:
             params = random_two_layer_params(rng, max_dim=5)
             result = normalize_first_layer(params, bound=1.0)
             for li in range(2):
-                off = ~params.mask_arrays[li]
+                off = ~params.pattern.mask_arrays[li]
                 assert np.all(result.weights[li][off] == 0.0)
 
 
@@ -534,7 +534,7 @@ class TestTrain:
             rng = np.random.default_rng(99)
             x = rng.uniform(-1, 1, size=(3, 64))
             params = init_params(pattern, rng)
-            return train(params, x, a, config, rng)
+            return train([params], x[None], a, config, [rng]).traces[0]
 
         t1, t2 = run(), run()
         assert len(t1) == 5 and not t1.diverged
@@ -548,7 +548,7 @@ class TestTrain:
         x = rng.uniform(-1, 1, size=(2, 8))
         a = np.fliplr(np.eye(2))
         params = init_params(pattern, rng)
-        trace = train(params, x, a, config, rng)
+        trace = train([params], x[None], a, config, [rng]).traces[0]
         assert trace.diverged is True
         assert len(trace) < 50
 
@@ -560,7 +560,7 @@ class TestTrain:
         a = np.fliplr(np.eye(3))
         params = init_params(pattern, rng)
         params.weights[0][0, 0] = np.nan
-        trace = train(params, x, a, config, rng)
+        trace = train([params], x[None], a, config, [rng]).traces[0]
         assert trace.diverged is True
         assert len(trace) == 1
 
@@ -571,7 +571,7 @@ class TestTrain:
         x = rng.uniform(-1, 1, size=(2, 16))
         a = np.fliplr(np.eye(2))
         params = init_params(pattern, rng)
-        trace = train(params, x, a, config, rng)
+        trace = train([params], x[None], a, config, [rng]).traces[0]
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -592,12 +592,13 @@ class TestTrain:
         else:
             for w in networks[1].weights:
                 w *= 1e5
-        stack = NetworkParams.stack(networks)
-        alone = [train(net, x, a, config, np.random.default_rng([9, s]))
-                 for s, (net, x) in enumerate(zip(networks, data))]
+        solo = [net.copy() for net in networks]
+        held = [net.weights + net.biases for net in networks]
+        alone = [train([net], x[None], a, config, [np.random.default_rng([9, s])]).traces[0]
+                 for s, (net, x) in enumerate(zip(solo, data))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = train(stack, data, a, config, [np.random.default_rng([9, s]) for s in range(3)])
+            result = train(networks, data, a, config, [np.random.default_rng([9, s]) for s in range(3)])
         assert len(result) == 4
         flagged = result.traces[1]
         assert flagged.diverged and len(flagged) == 1
@@ -605,17 +606,28 @@ class TestTrain:
             assert np.array_equal(column, alone[1].columns()[name], equal_nan=True)
         for s in (0, 2):
             assert not result.traces[s].diverged and result.traces[s] == alone[s]
-        # the stack's arrays end at each network's last values, the flagged one's included
-        for s, net in enumerate(networks):
-            for a_s, b in zip(stack.select(s).weights + stack.select(s).biases, net.weights + net.biases):
-                assert np.array_equal(a_s, b, equal_nan=True)
+        # every caller network, the flagged one included, is updated in
+        # place to the values of its last recorded epoch, as when trained alone
+        for net, arrays, single, trace in zip(networks, held, solo, result.traces):
+            for current, array, b in zip(net.weights + net.biases, arrays, single.weights + single.biases):
+                assert current is array and np.array_equal(array, b, equal_nan=True)
+            norms = [np.linalg.norm(w) for w in net.weights]
+            assert np.array_equal(norms, [trace.w1_norms[-1], trace.w2_norms[-1]], equal_nan=True)
 
     def test_stack_needs_inputs_and_a_generator_per_network(self):
         pattern = lu_pattern(2)
-        stack = NetworkParams.stack([init_params(pattern, np.random.default_rng(s)) for s in range(2)])
+        networks = [init_params(pattern, np.random.default_rng(s)) for s in range(2)]
         a = np.fliplr(np.eye(2))
         config = TrainingConfig(batch_size=4, epochs=1)
         x = np.zeros((2, 2, 8))
         for inputs, rngs in ((x[0], [np.random.default_rng(0)] * 2), (x, [np.random.default_rng(0)])):
             with pytest.raises(ValueError, match="S = 2 networks"):
-                train(stack, inputs, a, config, rngs)
+                train(networks, inputs, a, config, rngs)
+
+    def test_networks_on_different_patterns_refused(self):
+        first = init_params(lu_pattern(2), np.random.default_rng(0))
+        second = init_params(dense_pattern((2, 2, 2)), np.random.default_rng(1))
+        config = TrainingConfig(batch_size=4, epochs=1)
+        rngs = [np.random.default_rng(s) for s in range(2)]
+        with pytest.raises(ValueError, match="one pattern"):
+            train([first, second], np.zeros((2, 2, 8)), np.fliplr(np.eye(2)), config, rngs)
