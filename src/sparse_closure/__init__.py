@@ -37,6 +37,7 @@ from .polyhedra import (
     contains,
     drop_redundant,
     eliminate_variable,
+    project,
 )
 from .relu import (
     NetworkParams,
@@ -92,6 +93,7 @@ __all__ = [
     "metrics",
     "normalize_first_layer",
     "product",
+    "project",
     "restrict_to_hidden",
     "row_support_union",
     "sgd_step",

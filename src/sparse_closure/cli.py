@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from .closure import DEFAULT_MAX_HIDDEN, Closedness, check_theorem5_conditions, 
 from .datasets import DEFAULT_POINT_CAP, build_bad_dataset, dataset_resolution, write_dataset
 from .inputs import InputError, load_input, load_rows, parsing
 from .patterns import load_pattern
-from .polyhedra import DEFAULT_ROW_CAP, RationalPolyhedron, RowCapExceeded, eliminate_variable
+from .polyhedra import DEFAULT_ROW_CAP, RowCapExceeded, project
 from .polyhedra import load as load_polyhedron
 from .polyhedra import save as save_polyhedron
 from .rational import format_matrix, matrix, row_lengths
@@ -98,8 +100,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(*paths) -> None:
+    """Raise the OSError that opening each path for writing would raise,
+    without creating or truncating anything."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            code = errno.EISDIR
+        elif not path.exists() and not path.parent.is_dir():
+            code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def cmd_check(args) -> int:
     pattern = load_input(load_pattern, args.pattern)
+    if args.out:
+        _check_writable(args.out)
     verdict = closedness_verdict(pattern)
     sentence_path = None
     if verdict.status is Closedness.UNKNOWN and args.emit_smt is not None:
@@ -177,11 +196,12 @@ def cmd_gen_dataset(args) -> int:
         raise ValueError(
             "no gap witness is known for this pattern; pass --a with an explicit target matrix"
         )
+    csv_path = args.out + ".csv"
+    header_path = args.out + ".json"
+    _check_writable(csv_path, header_path)
     dataset, p = build_bad_dataset(
         target, pattern, p_override=args.p, point_cap=args.point_cap
     )
-    csv_path = args.out + ".csv"
-    header_path = args.out + ".json"
     write_dataset(dataset, csv_path, header_path, target, pattern, p)
     print(f"wrote {len(dataset)} points to {csv_path} (header {header_path})")
     return 0
@@ -198,19 +218,11 @@ def cmd_project(args) -> int:
     if args.row_cap < 1:
         raise ValueError(f"--row-cap must be positive, got {args.row_cap}")
     poly = load_input(load_polyhedron, args.input)
-    keep = sorted({int(tok) - 1 for tok in args.keep.split(",") if tok.strip()})
-    if not keep or any(not (0 <= k < poly.num_vars) for k in keep):
-        raise ValueError(f"--keep must name 1-based variables within 1..{poly.num_vars}")
-    before = poly.num_rows
-    if before == 0:
-        # no rows is the whole space, of any declared width
-        poly = RationalPolyhedron(len(keep), (), ())
-    else:
-        # eliminate from the highest index so remaining indices stay valid
-        for idx in sorted(set(range(poly.num_vars)).difference(keep), reverse=True):
-            poly = eliminate_variable(poly, idx, row_cap=args.row_cap)
-    save_polyhedron(poly, args.out)
-    print(f"rows before: {before}, rows after: {poly.num_rows}")
+    keep = [int(tok) - 1 for tok in args.keep.split(",") if tok.strip()]
+    _check_writable(args.out)
+    projected = project(poly, keep, args.row_cap)
+    save_polyhedron(projected, args.out)
+    print(f"rows before: {poly.num_rows}, rows after: {projected.num_rows}")
     return 0
 
 

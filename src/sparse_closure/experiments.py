@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .closure import closure_gap_witness_lu
 from .patterns import lu_pattern
 from .relu import TrainingConfig, TrainingTrace, init_params, train, write_trace_csv
 
@@ -84,7 +85,8 @@ def desk_spec(regularized: bool, out_dir, **overrides) -> ExperimentSpec:
 
 
 def anti_diagonal_identity(d: int) -> np.ndarray:
-    return np.fliplr(np.eye(d))
+    """closure_gap_witness_lu(d) as floats: the training target."""
+    return np.array(closure_gap_witness_lu(d), dtype=float)
 
 
 @dataclass(frozen=True)

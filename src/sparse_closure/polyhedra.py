@@ -144,6 +144,23 @@ def eliminate_variable(
     return _prune(_normalize(poly.num_vars - 1, combined))
 
 
+def project(poly: RationalPolyhedron, keep, row_cap: int = DEFAULT_ROW_CAP) -> RationalPolyhedron:
+    """Project onto the variables keep (0-based, kept in ascending order) by
+    eliminating every other one, highest index first.  No rows is the whole
+    space of any width, answered without visiting the variables.  Every
+    result is canonical (drop_redundant), also when nothing is eliminated."""
+    keep = sorted(set(keep))
+    if not keep or not 0 <= keep[0] <= keep[-1] < poly.num_vars:
+        raise ValueError(f"keep must name at least one variable, each within 1..{poly.num_vars} (1-based)")
+    if poly.num_rows == 0:
+        return RationalPolyhedron(len(keep), (), ())
+    if len(keep) == poly.num_vars:
+        return drop_redundant(poly)
+    for idx in sorted(set(range(poly.num_vars)).difference(keep), reverse=True):
+        poly = eliminate_variable(poly, idx, row_cap=row_cap)
+    return poly
+
+
 def drop_redundant(poly: RationalPolyhedron) -> RationalPolyhedron:
     """Cheap redundancy pruning that preserves the represented set.
 
@@ -221,7 +238,7 @@ def _two_row_combination(row_a, row_b, target):
 def affine_image(matrix, base: RationalPolyhedron, row_cap: int = DEFAULT_ROW_CAP) -> RationalPolyhedron:
     """Halfspace description of {Az : z in base} for a rational matrix A:
     introduce t = Az as two inequalities per output, stack the base
-    constraints, then eliminate all original variables."""
+    constraints, then project onto t."""
     a = rational_matrix(matrix)
     if not a:
         raise ValueError("affine image needs at least one output coordinate")
@@ -239,10 +256,7 @@ def affine_image(matrix, base: RationalPolyhedron, row_cap: int = DEFAULT_ROW_CA
         # t_k - A[k,:] z <= 0 and A[k,:] z - t_k <= 0
         rows.append((tuple(-v for v in arow) + t_pos, Fraction(0)))
         rows.append((arow + t_neg, Fraction(0)))
-    poly = _normalize(n + p, rows)
-    for _ in range(n):
-        poly = eliminate_variable(poly, 0, row_cap=row_cap)
-    return poly
+    return project(_normalize(n + p, rows), range(n, n + p), row_cap)
 
 
 def to_json(poly: RationalPolyhedron) -> dict:

@@ -234,6 +234,9 @@ class TestEmitSmt:
         assert not out.exists()
 
 
+SQUARE = {"num_vars": 2, "C": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]], "y": ["1", "0", "1", "0"]}
+
+
 class TestProject:
     def test_unit_square_to_interval(self, tmp_path, capsys):
         src = tmp_path / "square.json"
@@ -281,6 +284,29 @@ class TestProject:
         src = tmp_path / "p.json"
         src.write_text(json.dumps({"num_vars": 2, "C": [["1", "0"]], "y": ["1"]}))
         assert main(["project", "--input", str(src), "--keep", "7", "--out", str(tmp_path / "o")]) == 4
+
+    def test_keeping_every_variable_writes_the_canonical_form(self, tmp_path, capsys):
+        # scaled, unsorted and with x1 + x2 <= 9 implied by x1 <= 2 and x2 <= 2
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps({
+            "num_vars": 2,
+            "C": [["1/2", "0"], ["0", "2"], ["-1", "0"], ["1", "1"]],
+            "y": ["1", "4", "0", "9"],
+        }))
+        out = tmp_path / "o.json"
+        assert main(["project", "--input", str(src), "--keep", "2,1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "rows before: 4, rows after: 3\n"
+        assert json.loads(out.read_text()) == {
+            "num_vars": 2, "C": [["-1", "0"], ["0", "1"], ["1", "0"]], "y": ["0", "2", "2"],
+        }
+
+    def test_refused_projection_leaves_an_existing_out_alone(self, tmp_path, capsys):
+        src = tmp_path / "square.json"
+        src.write_text(json.dumps(SQUARE))
+        out = tmp_path / "o.json"
+        out.write_text("old")
+        assert main(["project", "--input", str(src), "--keep", "1", "--row-cap", "1", "--out", str(out)]) == 5
+        assert out.read_text() == "old"
 
 
 class TestTrainLu:
@@ -374,6 +400,34 @@ class TestTrainLu:
         assert "error:" in capsys.readouterr().err
 
 
+# Each command's most expensive step, which an unwritable output must not reach.
+EXPENSIVE = {
+    "check": ("sparse_closure.cli", "closedness_verdict", ["--pattern", "{tmp}/lu2.json"]),
+    "gen-dataset": ("sparse_closure.cli", "build_bad_dataset", ["--pattern", "{tmp}/lu2.json", "--p", "4"]),
+    "project": ("sparse_closure.polyhedra", "eliminate_variable",
+                ["--input", "{tmp}/square.json", "--keep", "1"]),
+}
+
+
+@pytest.mark.parametrize("out", ["file/o", "missing/o"], ids=["parent-is-a-file", "parent-missing"])
+@pytest.mark.parametrize("command", sorted(EXPENSIVE))
+def test_unwritable_out_refused_before_the_work(tmp_path, monkeypatch, capsys, command, out):
+    module, name, flags = EXPENSIVE[command]
+
+    def no_work(*args, **kwargs):
+        pytest.fail(f"{name} ran before --out was checked")
+
+    monkeypatch.setattr(f"{module}.{name}", no_work)
+    (tmp_path / "file").write_text("")
+    write_pattern(tmp_path / "lu2.json", lu_pattern(2))
+    (tmp_path / "square.json").write_text(json.dumps(SQUARE))
+    argv = [command, *(f.format(tmp=tmp_path) for f in flags), "--out", str(tmp_path / out)]
+    assert main(argv) == 4
+    assert str(tmp_path / out) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "lu2.json", "square.json"]
+    assert (tmp_path / "file").read_text() == ""
+
+
 # Failures that must leave through the documented exit codes.  "{tmp}" is the
 # test's scratch directory, which holds the input files written below; "file"
 # in it is a regular file, so paths under it cannot be created.
@@ -384,6 +438,8 @@ FAILURES = [
     ("check-mask-index-bool", ["check", "--pattern", "{tmp}/index_bool.json"], 3),
     ("check-mask-not-a-list", ["check", "--pattern", "{tmp}/mask_string.json"], 3),
     ("check-unwritable-out", ["check", "--pattern", "{tmp}/lu2.json", "--out", "{tmp}/file/v.json"], 4),
+    # a parse failure wins over an unwritable output
+    ("check-bad-pattern-unwritable-out", ["check", "--pattern", "{tmp}/masks5.json", "--out", "{tmp}/file/v.json"], 3),
     ("check-bad-budget", ["check", "--pattern", "{tmp}/lu2.json", "--verify-witness", "--budget", "0"], 4),
     ("check-non-integer-option", ["check", "--pattern", "{tmp}/lu2.json", "--budget", "abc"], 4),
     ("gen-dataset-bad-pattern", ["gen-dataset", "--pattern", "{tmp}/dims5.json", "--out", "{tmp}/d"], 3),
@@ -395,6 +451,9 @@ FAILURES = [
                                 "--out", "{tmp}/d"], 3),
     ("gen-dataset-a-exponent", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/a_exp.json",
                                 "--out", "{tmp}/d"], 3),
+    ("gen-dataset-bad-a-unwritable-out", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/bad.json",
+                                          "--out", "{tmp}/file/d"], 3),
+    ("gen-dataset-unwritable-out", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--out", "{tmp}/file/d"], 4),
     ("gen-dataset-point-cap", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--p", "4",
                                "--point-cap", "10", "--out", "{tmp}/d"], 4),
     ("emit-smt-bad-pattern", ["emit-smt", "--pattern", "{tmp}/masks5.json", "--out", "{tmp}/s.smt2"], 3),
@@ -414,6 +473,8 @@ FAILURES = [
                                       "--row-cap", "0", "--out", "{tmp}/o.json"], 4),
     ("project-row-cap", ["project", "--input", "{tmp}/square.json", "--keep", "1",
                          "--row-cap", "1", "--out", "{tmp}/o.json"], 5),
+    ("project-missing-unwritable-out", ["project", "--input", "{tmp}/nope.json", "--keep", "1",
+                                        "--out", "{tmp}/file/o.json"], 3),
     ("project-unwritable-out", ["project", "--input", "{tmp}/square.json", "--keep", "1",
                                 "--out", "{tmp}/file/o.json"], 4),
     ("train-lu-short-of-one-batch", ["train-lu", "--d", "2", "--samples", "10", "--batch-size", "20",
@@ -441,11 +502,10 @@ def test_failure_exit_codes(tmp_path, argv, code):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "file").write_text("")
     write_pattern(tmp_path / "lu2.json", lu_pattern(2))
-    square = {"num_vars": 2, "C": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]], "y": ["1", "0", "1", "0"]}
-    (tmp_path / "square.json").write_text(json.dumps(square))
+    (tmp_path / "square.json").write_text(json.dumps(SQUARE))
     # a zero denominator and a JSON Infinity, each in an otherwise valid input
-    (tmp_path / "square_zero.json").write_text(json.dumps({**square, "y": ["1/0", "0", "1", "0"]}))
-    (tmp_path / "square_inf.json").write_text(json.dumps({**square, "y": [float("inf"), "0", "1", "0"]}))
+    (tmp_path / "square_zero.json").write_text(json.dumps({**SQUARE, "y": ["1/0", "0", "1", "0"]}))
+    (tmp_path / "square_inf.json").write_text(json.dumps({**SQUARE, "y": [float("inf"), "0", "1", "0"]}))
     (tmp_path / "a_zero.json").write_text(json.dumps([["1/0", "0"], ["0", "1"]]))
     (tmp_path / "a_inf.json").write_text(json.dumps([[float("inf"), 0], [0, 1]]))
     # bools are no integers, 2.5 variables are none, and an exponent is no
@@ -453,8 +513,8 @@ def test_failure_exit_codes(tmp_path, argv, code):
     (tmp_path / "dims_bool.json").write_text(json.dumps({"dims": [2, True, 2], "masks": [[[1, 1]], [[1, 1]]]}))
     (tmp_path / "index_bool.json").write_text(json.dumps({"dims": [2, 2, 2], "masks": [[[True, 1]], [[1, 1]]]}))
     (tmp_path / "mask_string.json").write_text(json.dumps({"dims": [2, 2], "masks": [""]}))
-    (tmp_path / "square_half_vars.json").write_text(json.dumps({**square, "num_vars": 2.5}))
-    (tmp_path / "square_exp.json").write_text(json.dumps({**square, "y": ["1e999999", "0", "1", "0"]}))
+    (tmp_path / "square_half_vars.json").write_text(json.dumps({**SQUARE, "num_vars": 2.5}))
+    (tmp_path / "square_exp.json").write_text(json.dumps({**SQUARE, "y": ["1e999999", "0", "1", "0"]}))
     (tmp_path / "a_exp.json").write_text(json.dumps([["1e999999", "0"], ["0", "1"]]))
     proc = subprocess.run(
         [sys.executable, "-m", "sparse_closure.cli", *(a.format(tmp=tmp_path) for a in argv)],

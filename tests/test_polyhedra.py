@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sparse_closure.polyhedra import (
+    RationalPolyhedron,
     RowCapExceeded,
     affine_image,
     contains,
@@ -16,6 +17,7 @@ from sparse_closure.polyhedra import (
     eliminate_variable,
     from_json,
     polyhedron,
+    project,
     to_json,
 )
 
@@ -118,6 +120,50 @@ class TestEliminateVariable:
         poly = polyhedron(3, rows, list(range(12)))
         with pytest.raises(RowCapExceeded):
             eliminate_variable(poly, 0, row_cap=4)
+
+
+class TestProject:
+    @pytest.mark.parametrize("keep", [[], [-1], [3], [0, 3]])
+    def test_keep_must_name_variables_in_range(self, keep):
+        poly = polyhedron(3, [[1, 0, 0]], [1])
+        with pytest.raises(ValueError, match=r"within 1\.\.3 \(1-based\)"):
+            project(poly, keep)
+
+    def test_no_rows_is_the_whole_space_of_any_width(self):
+        assert project(RationalPolyhedron(10**9, (), ()), [0, 5]) == RationalPolyhedron(2, (), ())
+
+    def test_every_result_is_canonical(self):
+        # keeping every variable eliminates nothing and must still prune
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            poly = random_system(rng, 3, 7)
+            keep = [k for k in range(3) if rng.random() < 0.6] or [0, 1, 2]
+            projected = project(poly, keep)
+            assert drop_redundant(projected) == projected
+
+    def test_affine_image_agrees_with_eliminating_the_first_variable(self):
+        # project eliminates the highest index first.  Pairwise pruning
+        # depends on the order, so the rows may differ from eliminating index
+        # 0 n times; the set they describe may not.
+        rng = np.random.default_rng(44)
+        for _ in range(240):
+            n, p = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            base = random_system(rng, n, int(rng.integers(2, 7)))
+            a = rng.integers(-2, 3, size=(p, n)).tolist()
+            lifted = polyhedron(
+                n + p,
+                [list(row) + [0] * p for row in base.rows]
+                + [[sign * v for v in arow] + [-sign * int(i == k) for i in range(p)]
+                   for k, arow in enumerate(a) for sign in (1, -1)],
+                list(base.rhs) + [0] * (2 * p),
+            )
+            reference = lifted
+            for _ in range(n):
+                reference = eliminate_variable(reference, 0)
+            image = affine_image(a, base)
+            for _ in range(25):
+                point = random_point(rng, p)
+                assert contains(image, point) == contains(reference, point)
 
 
 class TestAffineImage:
