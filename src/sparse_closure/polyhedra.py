@@ -13,11 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, compress
 
 from .rational import format_fraction, format_matrix, vector, matrix as rational_matrix
 
 DEFAULT_ROW_CAP = 100_000
-# above this many rows the O(m^3) pairwise redundancy check is skipped
+# above this many rows the O(m^3) implication test of _prune is skipped
 PAIR_LIMIT = 96
 
 
@@ -74,15 +75,10 @@ def _canonical_row(row: tuple[Fraction, ...], b: Fraction):
         if b >= 0:
             return None
         return row, Fraction(-1)  # canonical infeasible marker: 0 <= -1
-    denom_lcm = 1
-    for c in (*row, b):
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in (*row, b)]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+    scale = math.lcm(*(c.denominator for c in (*row, b)))
+    ints = [int(c * scale) for c in (*row, b)]
+    g = math.gcd(*ints)
+    return tuple(Fraction(v // g) for v in ints[:-1]), Fraction(ints[-1] // g)
 
 
 def _normalize(num_vars: int, raw_rows) -> RationalPolyhedron:
@@ -164,75 +160,64 @@ def project(poly: RationalPolyhedron, keep, row_cap: int = DEFAULT_ROW_CAP) -> R
 def drop_redundant(poly: RationalPolyhedron) -> RationalPolyhedron:
     """Cheap redundancy pruning that preserves the represented set.
 
-    Always removes duplicates and rhs-dominated copies (handled by
-    canonicalization) plus rows implied by a nonnegative combination of at
-    most two other rows.  The pairwise stage is O(m^3) in the worst case and
-    is skipped above PAIR_LIMIT rows.
+    Canonicalization merges duplicates and keeps the tightest rhs of each
+    row; _prune then drops every row implied by one kept row scaled or by a
+    nonnegative combination of two kept rows.  That test is O(m^3) in the
+    worst case and is skipped above PAIR_LIMIT rows.
     """
     return _prune(_normalize(poly.num_vars, zip(poly.rows, poly.rhs)))
 
 
 def _prune(poly: RationalPolyhedron) -> RationalPolyhedron:
-    """The pairwise stage of drop_redundant on a normalized system; the rows
-    it keeps stay canonical, unique and sorted."""
-    rows = list(zip(poly.rows, poly.rhs))
-    m = len(rows)
+    """The implication stage of drop_redundant on a normalized system.
+
+    Rows are visited in order, and a row goes if one kept row scaled, or a
+    nonnegative combination of two kept rows, implies it; rows not yet
+    visited count as kept.  The test is exact integer arithmetic on the
+    canonical rows.  Systems of at most two or more than PAIR_LIMIT rows are
+    returned as they are.  The rows it keeps stay canonical, unique and sorted.
+    """
+    m = poly.num_rows
     if m <= 2 or m > PAIR_LIMIT:
         return poly
+    rows = [(tuple(int(c) for c in row), int(b)) for row, b in zip(poly.rows, poly.rhs)]
     keep = [True] * m
-    for r in range(m):
-        target_row, target_b = rows[r]
-        implied = False
-        for a in range(m):
-            if a == r or not keep[a]:
-                continue
-            for b_idx in range(a, m):
-                if b_idx == r or not keep[b_idx]:
-                    continue
-                lam = _two_row_combination(rows[a], rows[b_idx], target_row)
-                if lam is None:
-                    continue
-                la, lb = lam
-                if la * rows[a][1] + lb * rows[b_idx][1] <= target_b:
-                    implied = True
-                    break
-            if implied:
-                break
-        if implied:
-            keep[r] = False
-    kept = [i for i in range(m) if keep[i]]
-    rows_kept, rhs_kept = tuple(poly.rows[i] for i in kept), tuple(poly.rhs[i] for i in kept)
+    for r, t in enumerate(rows):
+        kept = [s for i, s in enumerate(rows) if keep[i] and i != r]
+        keep[r] = not (any(_scales_to(s, t) for s in kept)
+                       or any(_combines_to(a, b, t) for a, b in combinations(kept, 2)))
+    rows_kept, rhs_kept = tuple(compress(poly.rows, keep)), tuple(compress(poly.rhs, keep))
     return RationalPolyhedron(poly.num_vars, rows_kept, rhs_kept)
 
 
-def _two_row_combination(row_a, row_b, target):
-    """Nonnegative (la, lb) with la*a + lb*b == target, or None.
+def _scales_to(s, t) -> bool:
+    """Does the integer row s, scaled by some lambda >= 0, imply the row t?"""
+    (cs, ys), (ct, yt) = s, t
+    k = next((k for k, c in enumerate(cs) if c != 0), None)
+    if k is None:
+        return False
+    p, q = (ct[k], cs[k]) if cs[k] > 0 else (-ct[k], -cs[k])  # lambda = p / q
+    return p >= 0 and p * ys <= q * yt and all(q * x == p * y for x, y in zip(ct, cs))
 
-    Solves the first two independent coordinates and verifies the rest.
-    """
-    a, b = row_a[0], row_b[0]
-    n = len(target)
+
+def _combines_to(a, b, t) -> bool:
+    """Do two independent integer rows a, b imply t by a nonnegative
+    combination?  Cramer's rule on the first pair of columns with a nonzero
+    determinant, scaled by the determinant, gives the only candidate."""
+    (ca, ya), (cb, yb), (ct, yt) = a, b, t
+    n = len(ct)
     for i in range(n):
         for j in range(i + 1, n):
-            det = a[i] * b[j] - a[j] * b[i]
+            det = ca[i] * cb[j] - ca[j] * cb[i]
             if det == 0:
                 continue
-            la = (target[i] * b[j] - target[j] * b[i]) / det
-            lb = (a[i] * target[j] - a[j] * target[i]) / det
-            if la < 0 or lb < 0:
-                return None
-            if all(la * a[k] + lb * b[k] == target[k] for k in range(n)):
-                return la, lb
-            return None
-    # rows proportional: try single-row scaling of each
-    for base in (a, b):
-        nz = next((k for k in range(n) if base[k] != 0), None)
-        if nz is None:
-            continue
-        lam = target[nz] / base[nz]
-        if lam >= 0 and all(lam * base[k] == target[k] for k in range(n)):
-            return (lam, Fraction(0)) if base is a else (Fraction(0), lam)
-    return None
+            la = ct[i] * cb[j] - ct[j] * cb[i]
+            lb = ca[i] * ct[j] - ca[j] * ct[i]
+            if det < 0:
+                det, la, lb = -det, -la, -lb
+            return (la >= 0 and lb >= 0 and la * ya + lb * yb <= det * yt
+                    and all(la * x + lb * y == det * z for x, y, z in zip(ca, cb, ct)))
+    return False
 
 
 def affine_image(matrix, base: RationalPolyhedron, row_cap: int = DEFAULT_ROW_CAP) -> RationalPolyhedron:

@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sparse_closure import polyhedra
 from sparse_closure.polyhedra import (
+    PAIR_LIMIT,
     RationalPolyhedron,
     RowCapExceeded,
     affine_image,
@@ -239,6 +241,27 @@ class TestDropRedundant:
         cleaned = drop_redundant(poly)
         assert cleaned.num_rows == 2
 
+    def test_single_row_implication_removed(self):
+        # x <= 6 follows from 4x <= 11 scaled by 1/4; both are canonical rows
+        cleaned = drop_redundant(polyhedron(1, [[1], [4], [-2]], [6, 11, 13]))
+        assert cleaned.rows == ((-2,), (4,))
+        assert cleaned.rhs == (13, 11)
+
+    def test_implication_test_skipped_above_pair_limit(self):
+        # tangents 2k x - y <= k^2 of y >= x^2 are all facets; -2y <= 1 is
+        # implied by the k = 0 tangent -y <= 0 alone
+        def system(tangents):
+            rows = [[2 * k, -1] for k in range(tangents)] + [[0, -2]]
+            return polyhedron(2, rows, [k * k for k in range(tangents)] + [1])
+
+        implied = ((0, -2), 1)
+        over = drop_redundant(system(PAIR_LIMIT))
+        assert over.num_rows == PAIR_LIMIT + 1
+        assert implied in zip(over.rows, over.rhs)
+        at = drop_redundant(system(PAIR_LIMIT - 1))
+        assert at.num_rows == PAIR_LIMIT - 1
+        assert implied not in zip(at.rows, at.rhs)
+
     def test_set_unchanged_under_sampling(self):
         rng = np.random.default_rng(27)
         for _ in range(20):
@@ -247,6 +270,106 @@ class TestDropRedundant:
             for _ in range(40):
                 point = random_point(rng, 3)
                 assert contains(poly, point) == contains(cleaned, point)
+
+
+def reference_prune(poly):
+    """Reference pruning in Fraction arithmetic: drop a row when some
+    (la, lb) >= 0 over two kept rows, a row paired with itself included,
+    reproduces its coefficients with la*ya + lb*yb <= its rhs."""
+    rows = list(zip(poly.rows, poly.rhs))
+    m = len(rows)
+    if m <= 2 or m > PAIR_LIMIT:
+        return poly
+    keep = [True] * m
+    for r in range(m):
+        target_row, target_b = rows[r]
+        implied = False
+        for a in range(m):
+            if a == r or not keep[a]:
+                continue
+            for b_idx in range(a, m):
+                if b_idx == r or not keep[b_idx]:
+                    continue
+                lam = reference_two_row_combination(rows[a], rows[b_idx], target_row)
+                if lam is None:
+                    continue
+                la, lb = lam
+                if la * rows[a][1] + lb * rows[b_idx][1] <= target_b:
+                    implied = True
+                    break
+            if implied:
+                break
+        if implied:
+            keep[r] = False
+    kept = [i for i in range(m) if keep[i]]
+    rows_kept, rhs_kept = tuple(poly.rows[i] for i in kept), tuple(poly.rhs[i] for i in kept)
+    return RationalPolyhedron(poly.num_vars, rows_kept, rhs_kept)
+
+
+def reference_two_row_combination(row_a, row_b, target):
+    """Nonnegative (la, lb) with la*a + lb*b == target, or None: solve the
+    first two independent coordinates and verify the rest; for proportional
+    rows try scaling each row alone."""
+    a, b = row_a[0], row_b[0]
+    n = len(target)
+    for i in range(n):
+        for j in range(i + 1, n):
+            det = a[i] * b[j] - a[j] * b[i]
+            if det == 0:
+                continue
+            la = (target[i] * b[j] - target[j] * b[i]) / det
+            lb = (a[i] * target[j] - a[j] * target[i]) / det
+            if la < 0 or lb < 0:
+                return None
+            if all(la * a[k] + lb * b[k] == target[k] for k in range(n)):
+                return la, lb
+            return None
+    for base in (a, b):
+        nz = next((k for k in range(n) if base[k] != 0), None)
+        if nz is None:
+            continue
+        lam = target[nz] / base[nz]
+        if lam >= 0 and all(lam * base[k] == target[k] for k in range(n)):
+            return (lam, Fraction(0)) if base is a else (Fraction(0), lam)
+    return None
+
+
+def random_fractional_system(rng):
+    """1-4 variables with fractional entries, some zero; some rows repeat
+    another's coefficients scaled with a different rhs; some systems carry
+    the infeasible marker 0 <= -1."""
+    def entry():
+        return Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+
+    n, m = int(rng.integers(1, 5)), int(rng.integers(2, 12))
+    rows = [[entry() if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+    rhs = [entry() for _ in range(m)]
+    for _ in range(int(rng.integers(0, 4))):
+        scale = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        rows.append([scale * c for c in rows[int(rng.integers(0, m))]])
+        rhs.append(entry())
+    if rng.random() < 0.25:
+        rows.append([0] * n)
+        rhs.append(-1)
+    return polyhedron(n, rows, rhs)
+
+
+class TestReferencePruning:
+    def test_same_rows_as_the_fraction_solver(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        cases = []
+        for _ in range(300):
+            poly = random_fractional_system(rng)
+            idx = int(rng.integers(0, poly.num_vars)) if poly.num_vars > 1 else None
+            cases.append((poly, idx))
+
+        def results():
+            return [(drop_redundant(poly), None if idx is None else eliminate_variable(poly, idx))
+                    for poly, idx in cases]
+
+        integer = results()
+        monkeypatch.setattr(polyhedra, "_prune", reference_prune)
+        assert integer == results()
 
 
 class TestCanonicalForm:
