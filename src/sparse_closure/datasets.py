@@ -12,10 +12,13 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product as iter_product
+from math import lcm
+from operator import mul
 
 from .patterns import SupportPattern, pattern_to_json
-from .rational import as_fraction, format_fraction, format_matrix, matrix, matvec, row_lengths, vector
+from .rational import as_fraction, format_fraction, format_matrix, matrix, row_lengths, vector
 
 
 class FreeCubeNotFound(RuntimeError):
@@ -54,10 +57,16 @@ class Grid:
     def cardinality(self) -> int:
         return (self.resolution + 1) ** self.dimension
 
-    def points(self):
+    def indexed_points(self):
+        """Yield (idx, idx / p) for every point, idx an integer tuple; the
+        coordinates are drawn from one table of p + 1 shared Fraction(i, p)."""
         p = self.resolution
+        table = tuple(Fraction(i, p) for i in range(p + 1))
         for idx in iter_product(range(p + 1), repeat=self.dimension):
-            yield tuple(Fraction(i, p) for i in idx)
+            yield idx, tuple(map(table.__getitem__, idx))
+
+    def points(self):
+        return (point for _, point in self.indexed_points())
 
 
 @dataclass(frozen=True)
@@ -213,9 +222,19 @@ def build_bad_dataset(
     p = dataset_resolution(row_lengths(a), pattern, p_override, point_cap)
     rows = matrix(a)
     grid = Grid(resolution=p, dimension=pattern.input_dim)
-    inputs = tuple(grid.points())
-    targets = tuple(matvec(rows, x) for x in inputs)
-    return LabeledDataset(inputs=inputs, targets=targets), p
+    # row r is nums / den in integers over its common denominator, so its label
+    # at idx / p is Fraction(nums . idx, den * p); one cache per row (a dict
+    # keyed by the numerator) builds each distinct label once and shares it
+    labels = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        nums = [x.numerator * (den // x.denominator) for x in row]
+        labels.append((nums, cache(partial(Fraction, denominator=den * p))))
+    inputs, targets = [], []
+    for idx, x in grid.indexed_points():
+        inputs.append(x)
+        targets.append(tuple([label(sum(map(mul, nums, idx))) for nums, label in labels]))
+    return LabeledDataset(inputs=tuple(inputs), targets=tuple(targets)), p
 
 
 def write_dataset(

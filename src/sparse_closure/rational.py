@@ -89,12 +89,6 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     )
 
 
-def matvec(a: RationalMatrix, v: RationalVector) -> RationalVector:
-    if not a or len(a[0]) != len(v):
-        raise ValueError("shape mismatch in matrix-vector product")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank by fraction-free-ish Gaussian elimination, exact over Q.
 

@@ -1,6 +1,7 @@
 import csv
 import json
 from fractions import Fraction
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ import pytest
 from sparse_closure import datasets
 from sparse_closure.closure import closure_gap_witness_lu
 from sparse_closure.datasets import (
+    DEFAULT_POINT_CAP,
     FreeCubeNotFound,
     Grid,
+    LabeledDataset,
     TooManyPoints,
     build_bad_dataset,
     cube_edges,
     cube_is_free,
+    dataset_resolution,
     edge_intersects,
     find_free_hypercube,
     hyperplane,
@@ -21,6 +25,7 @@ from sparse_closure.datasets import (
     write_dataset,
 )
 from sparse_closure.patterns import SupportPattern, dense_pattern, lu_pattern
+from sparse_closure.rational import matrix, row_lengths
 
 
 def random_plane(rng, dim):
@@ -28,6 +33,45 @@ def random_plane(rng, dim):
         normal = [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(dim)]
         if any(c != 0 for c in normal):
             return hyperplane(normal, Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4))))
+
+
+def reference_dataset(a, pattern, p_override):
+    """Reference labelling in Fraction arithmetic: each grid point built from
+    fresh Fraction(i, p) coordinates and labelled by the matrix-vector product
+    of the converted target, one Fraction multiply and add per entry."""
+    p = dataset_resolution(row_lengths(a), pattern, p_override, DEFAULT_POINT_CAP)
+    rows = matrix(a)
+    inputs = tuple(
+        tuple(Fraction(i, p) for i in idx)
+        for idx in iter_product(range(p + 1), repeat=pattern.input_dim)
+    )
+    targets = tuple(tuple(sum(x * y for x, y in zip(row, v)) for row in rows) for v in inputs)
+    return LabeledDataset(inputs=inputs, targets=targets), p
+
+
+def random_entry(rng):
+    """An integer, a fraction with a small denominator, a 'p/q' string or an
+    exact float, negative about half the time."""
+    sign = int(rng.choice((-1, 1)))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return sign * int(rng.integers(0, 6))
+    if kind == 1:
+        return Fraction(sign * int(rng.integers(0, 13)), int(rng.integers(1, 13)))
+    if kind == 2:
+        return f"{sign * int(rng.integers(0, 13))}/{int(rng.integers(1, 13))}"
+    return sign * float(rng.choice((0.1, 0.25, 0.3, 1.5, 1e-3, 7.0)))
+
+
+def random_target(rng, n_out, n_in):
+    """A random n_out x n_in target; about one in five is an integer numpy
+    array, and about one row in five of the others is all zeros."""
+    if rng.random() < 0.2:
+        return rng.integers(-4, 5, size=(n_out, n_in))
+    return [
+        [0] * n_in if rng.random() < 0.2 else [random_entry(rng) for _ in range(n_in)]
+        for _ in range(n_out)
+    ]
 
 
 class TestEdgeIntersects:
@@ -198,6 +242,38 @@ class TestBuildBadDataset:
         pattern = SupportPattern(dims=(2, 10**9, 2), masks=(frozenset(), frozenset()))
         with pytest.raises(TooManyPoints, match=r"4\^1000000000 would hold more than 100 points"):
             build_bad_dataset(((0, 1), (1, 0)), pattern, point_cap=100)
+
+    def test_matches_the_fraction_reference_byte_for_byte(self, tmp_path):
+        rng = np.random.default_rng(41)
+        shapes = [(1, 1), (1, 3), (3, 1), (2, 2), (3, 2), (2, 1)]
+        for case in range(200):
+            n_out, n_in = shapes[case % len(shapes)]
+            pattern = dense_pattern((n_in, 1, n_out))
+            a = random_target(rng, n_out, n_in)
+            p = int(rng.choice((1, 2, 3, 7)))
+            expected = reference_dataset(a, pattern, p)
+            got = build_bad_dataset(a, pattern, p_override=p)
+            assert got == expected
+            files = []
+            for k, (dataset, q) in enumerate((expected, got)):
+                csv_path, header_path = tmp_path / f"{k}.csv", tmp_path / f"{k}.json"
+                write_dataset(dataset, csv_path, header_path, a, pattern, q)
+                files.append((csv_path.read_bytes(), header_path.read_bytes()))
+            assert files[0] == files[1]
+
+    def test_labels_use_no_per_entry_fraction_arithmetic(self, monkeypatch):
+        # each label is one integer dot product over its row's common
+        # denominator: no Fraction multiply or add per entry and point
+        a = closure_gap_witness_lu(2)
+
+        def no_arithmetic(self, other):
+            pytest.fail("a label was built from Fraction arithmetic")
+
+        monkeypatch.setattr(Fraction, "__mul__", no_arithmetic)
+        monkeypatch.setattr(Fraction, "__add__", no_arithmetic)
+        dataset, p = build_bad_dataset(a, lu_pattern(2))
+        monkeypatch.undo()
+        assert p == 96 and dataset.targets[1] == (Fraction(1, 96), Fraction(0))
 
     def test_targets_exact_rational(self):
         pattern = SupportPattern(
