@@ -116,6 +116,10 @@ def _check_writable(*paths) -> None:
 
 
 def cmd_check(args) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be positive, got {args.budget}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     pattern = load_input(load_pattern, args.pattern)
     if args.out:
         _check_writable(args.out)

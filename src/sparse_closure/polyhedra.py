@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, starmap
 
 from .rational import format_fraction, format_matrix, vector, matrix as rational_matrix
 
@@ -65,38 +65,38 @@ def contains(poly: RationalPolyhedron, point) -> bool:
     return True
 
 
-def _canonical_row(row: tuple[Fraction, ...], b: Fraction):
-    """Scale so coefficients and rhs become coprime integers; drop trivial rows.
-
-    Returns None for rows 0 <= b with b >= 0 (always true).  Rows 0 <= b with
-    b < 0 are kept: they mark infeasibility and must survive projection.
-    """
-    if all(c == 0 for c in row):
-        if b >= 0:
-            return None
-        return row, Fraction(-1)  # canonical infeasible marker: 0 <= -1
-    scale = math.lcm(*(c.denominator for c in (*row, b)))
-    ints = [int(c * scale) for c in (*row, b)]
-    g = math.gcd(*ints)
-    return tuple(Fraction(v // g) for v in ints[:-1]), Fraction(ints[-1] // g)
+def _integer_row(row, b) -> tuple[int, ...]:
+    """The row (coefficients, rhs) scaled by the lcm of its denominators:
+    integers, rhs last, in integer arithmetic only."""
+    entries = (*row, b)
+    scale = math.lcm(*(c.denominator for c in entries))
+    return tuple(c.numerator * (scale // c.denominator) for c in entries)
 
 
-def _normalize(num_vars: int, raw_rows) -> RationalPolyhedron:
-    """Canonicalize, deduplicate (keeping the tightest rhs) and sort rows."""
-    best: dict[tuple[Fraction, ...], Fraction] = {}
-    for row, b in raw_rows:
-        canon = _canonical_row(row, b)
-        if canon is None:
-            continue
-        crow, cb = canon
-        prev = best.get(crow)
-        if prev is None or cb < prev:
-            best[crow] = cb
+def _normalize(num_vars: int, integer_rows) -> RationalPolyhedron:
+    """Scale each integer row (rhs last) to coprime integers, drop rows
+    0 <= b with b >= 0, keep rows 0 <= b with b < 0 as the infeasible
+    marker 0 <= -1 (it must survive projection), deduplicate (keeping the
+    tightest rhs) and sort.  Fractions are built once per distinct value."""
+    best: dict[tuple[int, ...], int] = {}
+    for row in integer_rows:
+        coeffs, b = row[:-1], row[-1]
+        g = math.gcd(*coeffs)
+        if g == 0:
+            if b >= 0:
+                continue
+            b = -1
+        else:
+            g = math.gcd(g, b)
+            coeffs, b = tuple(c // g for c in coeffs), b // g
+        if best.get(coeffs, b) >= b:  # a new row or a tighter rhs
+            best[coeffs] = b
     ordered = sorted(best.items())
+    shared = {v: Fraction(v) for v in {*best.values(), *(c for row in best for c in row)}}
     return RationalPolyhedron(
         num_vars=num_vars,
-        rows=tuple(row for row, _ in ordered),
-        rhs=tuple(b for _, b in ordered),
+        rows=tuple(tuple(map(shared.__getitem__, row)) for row, _ in ordered),
+        rhs=tuple(shared[b] for _, b in ordered),
     )
 
 
@@ -107,8 +107,10 @@ def eliminate_variable(
     value of the eliminated coordinate satisfies all constraints.
 
     Rows not mentioning the variable pass through; every (positive, negative)
-    coefficient pair combines into one implied row.  The output is
-    canonicalized and lexicographically sorted, so it is deterministic.
+    coefficient pair combines into one implied row.  The rows are scaled to
+    integers once, after the row cap is checked, and combined in integer
+    arithmetic.  The output is canonicalized and lexicographically sorted,
+    so it is deterministic.
     """
     if not (0 <= idx < poly.num_vars):
         raise ValueError(f"variable index {idx} out of range for {poly.num_vars} variables")
@@ -116,14 +118,7 @@ def eliminate_variable(
         raise ValueError("cannot eliminate the last remaining variable")
     zero, pos, neg = [], [], []
     for row, b in zip(poly.rows, poly.rhs):
-        coeff = row[idx]
-        rest = row[:idx] + row[idx + 1 :]
-        if coeff == 0:
-            zero.append((rest, b))
-        elif coeff > 0:
-            pos.append((coeff, rest, b))
-        else:
-            neg.append((coeff, rest, b))
+        (zero if row[idx] == 0 else pos if row[idx] > 0 else neg).append((row, b))
 
     if len(zero) + len(pos) * len(neg) > row_cap:
         raise RowCapExceeded(
@@ -131,12 +126,15 @@ def eliminate_variable(
             f"(cap {row_cap}); raise the row cap to allow it"
         )
 
-    combined = list(zero)
-    for cp, rp, bp in pos:
-        for cn, rn, bn in neg:
+    def split(part):  # integer rows as (coefficient of idx, the other entries with the rhs last)
+        return [(r[idx], r[:idx] + r[idx + 1 :]) for r in starmap(_integer_row, part)]
+
+    combined = [rest for _, rest in split(zero)]
+    neg = split(neg)
+    for cp, rp in split(pos):
+        for cn, rn in neg:
             # cp * (negative row) + (-cn) * (positive row): idx coefficient cancels
-            row = tuple(cp * xn - cn * xp for xp, xn in zip(rp, rn))
-            combined.append((row, cp * bn - cn * bp))
+            combined.append(tuple(cp * xn - cn * xp for xp, xn in zip(rp, rn)))
     return _prune(_normalize(poly.num_vars - 1, combined))
 
 
@@ -144,7 +142,11 @@ def project(poly: RationalPolyhedron, keep, row_cap: int = DEFAULT_ROW_CAP) -> R
     """Project onto the variables keep (0-based, kept in ascending order) by
     eliminating every other one, highest index first.  No rows is the whole
     space of any width, answered without visiting the variables.  Every
-    result is canonical (drop_redundant), also when nothing is eliminated."""
+    result is canonical (drop_redundant), also when nothing is eliminated.
+
+    After the first elimination the system is canonical, and eliminating a
+    column that is zero in every row would only drop it, so such columns are
+    dropped together in one pass."""
     keep = sorted(set(keep))
     if not keep or not 0 <= keep[0] <= keep[-1] < poly.num_vars:
         raise ValueError(f"keep must name at least one variable, each within 1..{poly.num_vars} (1-based)")
@@ -152,7 +154,12 @@ def project(poly: RationalPolyhedron, keep, row_cap: int = DEFAULT_ROW_CAP) -> R
         return RationalPolyhedron(len(keep), (), ())
     if len(keep) == poly.num_vars:
         return drop_redundant(poly)
-    for idx in sorted(set(range(poly.num_vars)).difference(keep), reverse=True):
+    first, *rest = sorted(set(range(poly.num_vars)).difference(keep), reverse=True)
+    poly = eliminate_variable(poly, first, row_cap=row_cap)
+    zero = {i for i in rest if not any(row[i] for row in poly.rows)}
+    cols = [i for i in range(poly.num_vars) if i not in zero]
+    poly = RationalPolyhedron(len(cols), tuple(tuple(row[i] for i in cols) for row in poly.rows), poly.rhs)
+    for idx in [cols.index(i) for i in rest if i not in zero]:
         poly = eliminate_variable(poly, idx, row_cap=row_cap)
     return poly
 
@@ -165,7 +172,7 @@ def drop_redundant(poly: RationalPolyhedron) -> RationalPolyhedron:
     nonnegative combination of two kept rows.  That test is O(m^3) in the
     worst case and is skipped above PAIR_LIMIT rows.
     """
-    return _prune(_normalize(poly.num_vars, zip(poly.rows, poly.rhs)))
+    return _prune(_normalize(poly.num_vars, map(_integer_row, poly.rows, poly.rhs)))
 
 
 def _prune(poly: RationalPolyhedron) -> RationalPolyhedron:
@@ -231,16 +238,11 @@ def affine_image(matrix, base: RationalPolyhedron, row_cap: int = DEFAULT_ROW_CA
     if any(len(row) != n for row in a):
         raise ValueError("matrix width must equal the base dimension")
     p = len(a)
-    rows = []
-    zero_t = (Fraction(0),) * p
-    for row, b in zip(base.rows, base.rhs):
-        rows.append((row + zero_t, b))
+    rows = [r[:-1] + (0,) * p + r[-1:] for r in map(_integer_row, base.rows, base.rhs)]
     for k, arow in enumerate(a):
-        t_pos = tuple(Fraction(1) if i == k else Fraction(0) for i in range(p))
-        t_neg = tuple(-v for v in t_pos)
-        # t_k - A[k,:] z <= 0 and A[k,:] z - t_k <= 0
-        rows.append((tuple(-v for v in arow) + t_pos, Fraction(0)))
-        rows.append((arow + t_neg, Fraction(0)))
+        # A[k,:] z - t_k <= 0 and t_k - A[k,:] z <= 0
+        row = _integer_row(arow + tuple(-int(i == k) for i in range(p)), 0)
+        rows += [row, tuple(-v for v in row)]
     return project(_normalize(n + p, rows), range(n, n + p), row_cap)
 
 

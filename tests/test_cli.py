@@ -441,6 +441,10 @@ FAILURES = [
     # a parse failure wins over an unwritable output
     ("check-bad-pattern-unwritable-out", ["check", "--pattern", "{tmp}/masks5.json", "--out", "{tmp}/file/v.json"], 3),
     ("check-bad-budget", ["check", "--pattern", "{tmp}/lu2.json", "--verify-witness", "--budget", "0"], 4),
+    # refused before the verdict, also where a closed pattern runs no search
+    ("check-bad-budget-dense", ["check", "--pattern", "{tmp}/dense.json", "--verify-witness", "--budget", "0"], 4),
+    ("check-negative-seed", ["check", "--pattern", "{tmp}/lu2.json", "--verify-witness", "--seed", "-1"], 4),
+    ("check-negative-seed-dense", ["check", "--pattern", "{tmp}/dense.json", "--verify-witness", "--seed", "-1"], 4),
     ("check-non-integer-option", ["check", "--pattern", "{tmp}/lu2.json", "--budget", "abc"], 4),
     ("gen-dataset-bad-pattern", ["gen-dataset", "--pattern", "{tmp}/dims5.json", "--out", "{tmp}/d"], 3),
     ("gen-dataset-bad-a-json", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/bad.json",
@@ -502,6 +506,7 @@ def test_failure_exit_codes(tmp_path, argv, code):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "file").write_text("")
     write_pattern(tmp_path / "lu2.json", lu_pattern(2))
+    write_pattern(tmp_path / "dense.json", dense_pattern((4, 3, 1)))
     (tmp_path / "square.json").write_text(json.dumps(SQUARE))
     # a zero denominator and a JSON Infinity, each in an otherwise valid input
     (tmp_path / "square_zero.json").write_text(json.dumps({**SQUARE, "y": ["1/0", "0", "1", "0"]}))
@@ -529,6 +534,16 @@ def test_failure_exit_codes(tmp_path, argv, code):
         assert proc.returncode not in (0, 1, 2)
     if argv[0] == "train-lu":
         assert not list(tmp_path.rglob("trace_*.csv"))
+
+
+@pytest.mark.parametrize("option, value", [("--budget", "0"), ("--budget", "-5"), ("--seed", "-1")])
+@pytest.mark.parametrize("pattern", [dense_pattern((4, 3, 1)), lu_pattern(2)], ids=["dense", "lu2"])
+def test_check_search_options_are_named_when_refused(tmp_path, capsys, pattern, option, value):
+    f = write_pattern(tmp_path / "p.json", pattern)
+    assert main(["check", "--pattern", f, "--verify-witness", option, value]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must be")
 
 
 def test_parser_defaults_are_the_library_defaults():

@@ -3,6 +3,7 @@ feasibility oracle: fix every kept coordinate at a sample point, reduce the
 original system to interval bounds on the eliminated variable, and compare
 emptiness.  Exact rational arithmetic throughout; zero tolerance."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from sparse_closure.polyhedra import (
     project,
     to_json,
 )
+from sparse_closure.rational import matrix as rational_matrix
 
 
 def interval_feasible(poly, idx, point):
@@ -370,6 +372,170 @@ class TestReferencePruning:
         integer = results()
         monkeypatch.setattr(polyhedra, "_prune", reference_prune)
         assert integer == results()
+
+
+def reference_canonical_row(row, b):
+    """Scale so coefficients and rhs become coprime integers, in Fraction
+    arithmetic; None for rows 0 <= b with b >= 0, the marker 0 <= -1 for b < 0."""
+    if all(c == 0 for c in row):
+        if b >= 0:
+            return None
+        return row, Fraction(-1)
+    scale = math.lcm(*(c.denominator for c in (*row, b)))
+    ints = [int(c * scale) for c in (*row, b)]
+    g = math.gcd(*ints)
+    return tuple(Fraction(v // g) for v in ints[:-1]), Fraction(ints[-1] // g)
+
+
+def reference_normalize(num_vars, raw_rows):
+    """Canonicalize (row, rhs) pairs, keep the tightest rhs of each row, sort."""
+    best = {}
+    for row, b in raw_rows:
+        canon = reference_canonical_row(row, b)
+        if canon is None:
+            continue
+        crow, cb = canon
+        if crow not in best or cb < best[crow]:
+            best[crow] = cb
+    ordered = sorted(best.items())
+    return RationalPolyhedron(num_vars, tuple(r for r, _ in ordered), tuple(b for _, b in ordered))
+
+
+def reference_eliminate(poly, idx, row_cap=polyhedra.DEFAULT_ROW_CAP):
+    """One Fourier-Motzkin step in Fraction arithmetic on every row."""
+    zero, pos, neg = [], [], []
+    for row, b in zip(poly.rows, poly.rhs):
+        coeff, rest = row[idx], row[:idx] + row[idx + 1:]
+        (zero if coeff == 0 else pos if coeff > 0 else neg).append((coeff, rest, b))
+    if len(zero) + len(pos) * len(neg) > row_cap:
+        raise RowCapExceeded(
+            f"elimination would produce {len(zero) + len(pos) * len(neg)} rows "
+            f"(cap {row_cap}); raise the row cap to allow it"
+        )
+    combined = [(rest, b) for _, rest, b in zero]
+    for cp, rp, bp in pos:
+        for cn, rn, bn in neg:
+            combined.append((tuple(cp * xn - cn * xp for xp, xn in zip(rp, rn)), cp * bn - cn * bp))
+    return polyhedra._prune(reference_normalize(poly.num_vars - 1, combined))
+
+
+def reference_drop_redundant(poly):
+    return polyhedra._prune(reference_normalize(poly.num_vars, zip(poly.rows, poly.rhs)))
+
+
+def reference_project(poly, keep, row_cap=polyhedra.DEFAULT_ROW_CAP):
+    """Eliminate every variable not kept, highest index first, zero columns included."""
+    keep = sorted(set(keep))
+    if len(keep) == poly.num_vars:
+        return reference_drop_redundant(poly)
+    for idx in sorted(set(range(poly.num_vars)).difference(keep), reverse=True):
+        poly = reference_eliminate(poly, idx, row_cap)
+    return poly
+
+
+def reference_affine_image(matrix, base, row_cap=polyhedra.DEFAULT_ROW_CAP):
+    a = rational_matrix(matrix)
+    n, p = base.num_vars, len(a)
+    rows = [(row + (Fraction(0),) * p, b) for row, b in zip(base.rows, base.rhs)]
+    for k, arow in enumerate(a):
+        t_pos = tuple(Fraction(int(i == k)) for i in range(p))
+        rows.append((tuple(-v for v in arow) + t_pos, Fraction(0)))
+        rows.append((arow + tuple(-v for v in t_pos), Fraction(0)))
+    return reference_project(reference_normalize(n + p, rows), range(n, n + p), row_cap)
+
+
+def zero_padded(poly, rng):
+    """poly with 0-3 all-zero columns inserted at random positions."""
+    rows = [list(row) for row in poly.rows]
+    for _ in range(int(rng.integers(0, 4))):
+        at = int(rng.integers(0, len(rows[0]) + 1))
+        rows = [row[:at] + [0] + row[at:] for row in rows]
+    return polyhedron(len(rows[0]), rows, poly.rhs)
+
+
+class TestReferenceElimination:
+    """The integer engine against the Fraction engine it replaced: the same
+    rows, the same refusals, the same serialized bytes."""
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return to_json(fn(*args))
+        except RowCapExceeded as exc:
+            return f"refused: {exc}"
+
+    def test_same_output_as_the_fraction_engine(self):
+        rng = np.random.default_rng(46)
+        refusals = 0
+        for _ in range(300):
+            poly = zero_padded(random_fractional_system(rng), rng)
+            n = poly.num_vars
+            keep = [k for k in range(n) if rng.random() < 0.4] or [int(rng.integers(0, n))]
+            cap = int(rng.integers(1, 21)) if rng.random() < 0.5 else polyhedra.DEFAULT_ROW_CAP
+            a = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(n)]
+                 for _ in range(int(rng.integers(1, 3)))]
+            pairs = [
+                (self.outcome(project, poly, keep, cap), self.outcome(reference_project, poly, keep, cap)),
+                (to_json(drop_redundant(poly)), to_json(reference_drop_redundant(poly))),
+                (self.outcome(affine_image, a, poly, cap), self.outcome(reference_affine_image, a, poly, cap)),
+            ]
+            for integer, reference in pairs:
+                assert integer == reference
+                refusals += isinstance(reference, str)
+        assert refusals > 30  # the small caps are exercised
+
+    def test_wide_zero_columns_are_dropped_not_eliminated(self, monkeypatch):
+        # x1 in [0, 1] padded with 1,999 zero columns: one elimination step
+        n = 2000
+        poly = polyhedron(n, [[1] + [0] * (n - 1), [-1] + [0] * (n - 1)], [1, 0])
+        steps = []
+        eliminate = polyhedra.eliminate_variable
+
+        def counted(poly, idx, row_cap):
+            steps.append(idx)
+            return eliminate(poly, idx, row_cap)
+
+        monkeypatch.setattr(polyhedra, "eliminate_variable", counted)
+        assert to_json(project(poly, [0])) == {"num_vars": 1, "C": [["-1"], ["1"]], "y": ["0", "1"]}
+        assert steps == [n - 1]
+
+    def test_raw_input_above_the_cap_is_refused_at_a_zero_column(self):
+        # the first variable eliminated, x3, is a zero column; the raw rows count
+        poly = polyhedron(3, [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, -1, 0]], [1, 2, 1, 0])
+        with pytest.raises(RowCapExceeded, match=r"^elimination would produce 4 rows \(cap 3\)"):
+            project(poly, [0], row_cap=3)
+        assert project(poly, [0], row_cap=4) == reference_project(poly, [0], row_cap=4)
+
+    def test_cap_is_checked_before_any_row_is_converted(self, monkeypatch):
+        rows = [[1, k, 0] for k in range(5)] + [[-1, 0, k] for k in range(5)]
+        poly = polyhedron(3, rows, list(range(10)))
+
+        def no_conversion(row, b):
+            pytest.fail("a row was converted during a refused step")
+
+        monkeypatch.setattr(polyhedra, "_integer_row", no_conversion)
+        with pytest.raises(RowCapExceeded, match="would produce 25 rows"):
+            eliminate_variable(poly, 0, row_cap=24)
+
+    def test_integer_systems_project_without_fraction_arithmetic(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        systems = [(random_system(rng, 5, 10), [0, 1]) for _ in range(4)]
+        systems.append((zero_padded(random_system(rng, 3, 9), rng), [0]))
+        expected = [to_json(reference_project(poly, keep)) for poly, keep in systems]
+        square = polyhedron(2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0])
+
+        def no_arithmetic(self, other):
+            pytest.fail("a Fourier-Motzkin step did Fraction arithmetic")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__truediv__"):
+            monkeypatch.setattr(Fraction, name, no_arithmetic)
+        projected = [project(poly, keep) for poly, keep in systems]
+        image = affine_image([[1, 1], [2, -1]], square)
+        cleaned = drop_redundant(systems[0][0])
+        monkeypatch.undo()
+        assert [to_json(poly) for poly in projected] == expected
+        assert image == reference_affine_image([[1, 1], [2, -1]], square)
+        assert cleaned == reference_drop_redundant(systems[0][0])
 
 
 class TestCanonicalForm:
