@@ -186,6 +186,8 @@ def cmd_train_lu(args) -> int:
 
 
 def cmd_gen_dataset(args) -> int:
+    if args.point_cap < 1:
+        raise ValueError(f"--point-cap must be positive, got {args.point_cap}")
     pattern = load_input(load_pattern, args.pattern)
     if args.a is not None:
         rows = load_input(load_rows, args.a)
@@ -221,8 +223,11 @@ def cmd_emit_smt(args) -> int:
 def cmd_project(args) -> int:
     if args.row_cap < 1:
         raise ValueError(f"--row-cap must be positive, got {args.row_cap}")
+    try:
+        keep = [int(tok) - 1 for tok in args.keep.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--keep must be comma-separated integers, got {args.keep!r}") from None
     poly = load_input(load_polyhedron, args.input)
-    keep = [int(tok) - 1 for tok in args.keep.split(",") if tok.strip()]
     _check_writable(args.out)
     projected = project(poly, keep, args.row_cap)
     save_polyhedron(projected, args.out)

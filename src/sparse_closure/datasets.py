@@ -246,14 +246,22 @@ def write_dataset(
     resolution: int,
 ) -> None:
     """CSV with x columns then y columns (exact 'p/q' strings) plus a JSON
-    header recording the target matrix, pattern and resolution."""
+    header recording the target matrix, pattern and resolution.  Each value
+    object is formatted once: the grid table and the label caches share
+    them.  The memo holds each object, so no id is reused during the write."""
     n_in = len(dataset.inputs[0]) if dataset.inputs else 0
     n_out = len(dataset.targets[0]) if dataset.targets else 0
+    memo: dict[int, tuple[Fraction, str]] = {}
+
+    def text(v):
+        if (hit := memo.get(id(v))) is None:
+            hit = memo[id(v)] = v, format_fraction(v)
+        return hit[1]
+
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(n_in)] + [f"y{i + 1}" for i in range(n_out)])
-        for x, y in zip(dataset.inputs, dataset.targets):
-            writer.writerow([format_fraction(v) for v in (*x, *y)])
+        writer.writerows([*map(text, x), *map(text, y)] for x, y in zip(dataset.inputs, dataset.targets))
     header = {
         "A": format_matrix(matrix(a)),
         "pattern": pattern_to_json(pattern),

@@ -183,16 +183,25 @@ def _prune(poly: RationalPolyhedron) -> RationalPolyhedron:
     visited count as kept.  The test is exact integer arithmetic on the
     canonical rows.  Systems of at most two or more than PAIR_LIMIT rows are
     returned as they are.  The rows it keeps stay canonical, unique and sorted.
+
+    Each row's sign support (one bit per positive column, one per negative
+    column) rules most tests out: a row scaled by lambda > 0 keeps every
+    sign, and la*a + lb*b = det*t with la, lb >= 0 and det > 0 needs each
+    sign of t in a or in b.  Only tests these bit sets allow are run.
     """
     m = poly.num_rows
     if m <= 2 or m > PAIR_LIMIT:
         return poly
+    n = poly.num_vars
     rows = [(tuple(int(c) for c in row), int(b)) for row, b in zip(poly.rows, poly.rhs)]
+    signs = [sum(1 << (k + n * (c < 0)) for k, c in enumerate(row) if c) for row, _ in rows]
     keep = [True] * m
     for r, t in enumerate(rows):
-        kept = [s for i, s in enumerate(rows) if keep[i] and i != r]
-        keep[r] = not (any(_scales_to(s, t) for s in kept)
-                       or any(_combines_to(a, b, t) for a, b in combinations(kept, 2)))
+        st = signs[r]
+        kept = [(signs[i], s) for i, s in enumerate(rows) if keep[i] and i != r]
+        keep[r] = not (any(sa == st and _scales_to(s, t) for sa, s in kept)
+                       or any(_combines_to(a, b, t) for (sa, a), (sb, b) in combinations(kept, 2)
+                              if (sa | sb) & st == st))
     rows_kept, rhs_kept = tuple(compress(poly.rows, keep)), tuple(compress(poly.rhs, keep))
     return RationalPolyhedron(poly.num_vars, rows_kept, rhs_kept)
 

@@ -460,6 +460,10 @@ FAILURES = [
     ("gen-dataset-unwritable-out", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--out", "{tmp}/file/d"], 4),
     ("gen-dataset-point-cap", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--p", "4",
                                "--point-cap", "10", "--out", "{tmp}/d"], 4),
+    ("gen-dataset-zero-point-cap", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--point-cap", "0",
+                                    "--out", "{tmp}/d"], 4),
+    ("gen-dataset-negative-point-cap", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--point-cap", "-5",
+                                        "--out", "{tmp}/d"], 4),
     ("emit-smt-bad-pattern", ["emit-smt", "--pattern", "{tmp}/masks5.json", "--out", "{tmp}/s.smt2"], 3),
     ("emit-smt-unwritable-out", ["emit-smt", "--pattern", "{tmp}/lu2.json", "--out", "{tmp}/file/s.smt2"], 4),
     ("project-missing", ["project", "--input", "{tmp}/nope.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
@@ -473,6 +477,11 @@ FAILURES = [
     ("project-exponent", ["project", "--input", "{tmp}/square_exp.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
     ("project-bad-keep-token", ["project", "--input", "{tmp}/square.json", "--keep", "1,x",
                                 "--out", "{tmp}/o.json"], 4),
+    ("project-keep-not-an-integer", ["project", "--input", "{tmp}/square.json", "--keep", "x",
+                                     "--out", "{tmp}/o.json"], 4),
+    # like --row-cap, --keep is refused before the input is read
+    ("project-bad-keep-missing-input", ["project", "--input", "{tmp}/nope.json", "--keep", "x",
+                                        "--out", "{tmp}/o.json"], 4),
     ("project-non-positive-row-cap", ["project", "--input", "{tmp}/square.json", "--keep", "1",
                                       "--row-cap", "0", "--out", "{tmp}/o.json"], 4),
     ("project-row-cap", ["project", "--input", "{tmp}/square.json", "--keep", "1",
@@ -544,6 +553,21 @@ def test_check_search_options_are_named_when_refused(tmp_path, capsys, pattern, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {option} must be")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["gen-dataset", "--pattern", "{tmp}/p.json", "--point-cap", "0", "--out", "{tmp}/d"], "--point-cap"),
+    (["gen-dataset", "--pattern", "{tmp}/p.json", "--point-cap", "-5", "--out", "{tmp}/d"], "--point-cap"),
+    (["project", "--input", "{tmp}/nope.json", "--keep", "x", "--out", "{tmp}/o.json"], "--keep"),
+    (["project", "--input", "{tmp}/nope.json", "--keep", "1,2.5", "--out", "{tmp}/o.json"], "--keep"),
+], ids=["point-cap-0", "point-cap-negative", "keep-x", "keep-fraction"])
+def test_gen_dataset_and_project_options_are_named_when_refused(tmp_path, capsys, argv, option):
+    write_pattern(tmp_path / "p.json", lu_pattern(2))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must be")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
 
 def test_parser_defaults_are_the_library_defaults():

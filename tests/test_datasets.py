@@ -286,6 +286,26 @@ class TestBuildBadDataset:
 
 
 class TestSerialization:
+    def test_each_shared_value_is_formatted_once(self, tmp_path, monkeypatch):
+        # lu(2) at p = 96: 97 shared coordinates and 97 shared labels per
+        # output, against 4 * 97^2 = 37,636 entries in the CSV
+        pattern, witness = lu_pattern(2), closure_gap_witness_lu(2)
+        dataset, p = build_bad_dataset(witness, pattern)
+        csv_path, header_path = tmp_path / "d.csv", tmp_path / "d.json"
+        write_dataset(dataset, csv_path, header_path, witness, pattern, p)
+        expected = csv_path.read_bytes()
+        calls = []
+        format_fraction = datasets.format_fraction
+
+        def counted(v):
+            calls.append(v)
+            return format_fraction(v)
+
+        monkeypatch.setattr(datasets, "format_fraction", counted)
+        write_dataset(dataset, csv_path, header_path, witness, pattern, p)
+        assert p == 96 and len(calls) <= 3 * 97
+        assert csv_path.read_bytes() == expected
+
     def test_csv_and_header(self, tmp_path):
         pattern = lu_pattern(2)
         witness = closure_gap_witness_lu(2)

@@ -356,6 +356,18 @@ def random_fractional_system(rng):
     return polyhedron(n, rows, rhs)
 
 
+# the fixed system of the benchmark's exact workload that the default row cap
+# refuses at its fourth elimination (keeping x1 and x2)
+BLOWUP_SYSTEM = (
+    [[-2, 0, 0, 0, 0, -1], [-2, 2, 0, 2, 0, 0], [2, 0, 0, 0, 0, -2], [-1, -2, -2, 0, -1, 1],
+     [0, 0, 0, 2, 0, -1], [0, 2, 0, 0, 1, -1], [0, -1, 0, 0, 0, 0], [0, -2, 0, 0, 1, -2],
+     [0, 0, 2, 2, 2, 0], [1, -1, 2, -1, 0, 2], [0, 1, -1, 0, 0, 2], [2, -2, 0, -2, 0, 0],
+     [0, -2, -2, 1, 0, 0], [0, 0, 0, 0, 0, 2], [2, 0, 2, 0, 0, 0], [0, -1, 1, 1, 0, 2],
+     [2, 0, 0, -2, 0, 1], [2, -1, -1, 0, -2, 1], [0, -1, -2, -2, 0, 0], [-2, -1, -2, 0, 0, 0]],
+    [7, 6, 2, 1, 5, 6, 2, 2, 3, 3, 2, 4, 7, 2, 8, 2, 3, 9, 2, 6],
+)
+
+
 class TestReferencePruning:
     def test_same_rows_as_the_fraction_solver(self, monkeypatch):
         rng = np.random.default_rng(45)
@@ -372,6 +384,35 @@ class TestReferencePruning:
         integer = results()
         monkeypatch.setattr(polyhedra, "_prune", reference_prune)
         assert integer == results()
+
+    def test_sign_filter_keeps_the_rows_of_the_fraction_solver(self):
+        # 20-40 rows in 3-5 variables, mixed signs, zero entries and some
+        # all-zero columns: the rows whose sign supports allow no implication
+        # test must be the rows the Fraction solver keeps
+        rng = np.random.default_rng(48)
+        dropped = 0
+        for _ in range(12):
+            n, m = int(rng.integers(3, 6)), int(rng.integers(20, 41))
+            rows = rng.integers(-4, 5, size=(m, n)) * (rng.random((m, n)) < 0.6)
+            if rng.random() < 0.3:
+                rows[:, int(rng.integers(0, n))] = 0
+            poly = polyhedron(n, rows.tolist(), rng.integers(-3, 10, size=m).tolist())
+            system = reference_normalize(n, zip(poly.rows, poly.rhs))
+            expected = reference_prune(system)
+            assert polyhedra._prune(system) == expected
+            dropped += system.num_rows - expected.num_rows
+        assert dropped > 50
+
+    def test_blowup_first_step_keeps_the_rows_of_the_fraction_solver(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(polyhedra, "_prune", lambda poly: seen.append(poly) or poly)
+        eliminate_variable(polyhedron(6, *BLOWUP_SYSTEM), 5)
+        monkeypatch.undo()
+        (system,) = seen
+        assert system.num_rows == 42
+        expected = reference_prune(system)
+        assert expected.num_rows == 40
+        assert polyhedra._prune(system) == expected
 
 
 def reference_canonical_row(row, b):
@@ -536,6 +577,26 @@ class TestReferenceElimination:
         assert [to_json(poly) for poly in projected] == expected
         assert image == reference_affine_image([[1, 1], [2, -1]], square)
         assert cleaned == reference_drop_redundant(systems[0][0])
+
+
+class TestSignFilter:
+    @pytest.mark.parametrize("floor", [False, True], ids=["chain", "chain-with-floor"])
+    def test_no_implication_test_runs_where_signs_rule_it_out(self, monkeypatch, floor):
+        # keep x1 of x1 + xi <= 1 (i = 2..40), optionally with -x1 <= 0: no
+        # row's signs equal another's, and no pair covers a third row's xi
+        n = 40
+        rows = [[1] + [int(j == i) for j in range(1, n)] for i in range(1, n)]
+        rows += [[-1] + [0] * (n - 1)] * floor
+        poly = polyhedron(n, rows, [1] * (n - 1) + [0] * floor)
+        expected = reference_project(poly, [0])
+
+        def no_test(*rows):
+            pytest.fail("an implication test ran that the sign supports rule out")
+
+        monkeypatch.setattr(polyhedra, "_scales_to", no_test)
+        monkeypatch.setattr(polyhedra, "_combines_to", no_test)
+        assert project(poly, [0]) == expected
+        assert expected.num_rows == floor
 
 
 class TestCanonicalForm:
