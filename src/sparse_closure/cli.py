@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import os
 import sys
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--pattern", required=True, help="pattern JSON file")
     check.add_argument("--emit-smt", metavar="PATH", help="write the solver sentence here when undecided")
     check.add_argument("--max-hidden-enum", type=int, default=DEFAULT_MAX_HIDDEN,
-                       help="cap on N_1 for the 2^N_1 sufficient-condition enumeration")
+                       help="cap on N_1 for the 2^N_1 sufficient-condition enumeration (0: none)")
     check.add_argument("--verify-witness", action="store_true",
                        help="back a not-closed verdict with the numerical infimum search")
     check.add_argument("--budget", type=int, default=100_000,
@@ -120,6 +121,8 @@ def cmd_check(args) -> int:
         raise ValueError(f"--budget must be positive, got {args.budget}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.max_hidden_enum < 0:
+        raise ValueError(f"--max-hidden-enum must be non-negative, got {args.max_hidden_enum}")
     pattern = load_input(load_pattern, args.pattern)
     if args.out:
         _check_writable(args.out)
@@ -235,8 +238,12 @@ def cmd_project(args) -> int:
     return 0
 
 
+# one parser per process: parse_args keeps no state between calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "check": cmd_check,
         "train-lu": cmd_train_lu,

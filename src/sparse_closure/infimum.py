@@ -20,8 +20,10 @@ distance by _STALL_RTOL.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +74,9 @@ def infimum_oracle(
     """Best Frobenius distance from target to the pattern's product set.
 
     budget counts individual factor updates (one masked least-squares solve
-    each) across all restarts.  Returns the best factors found and the
+    each) across all restarts.  Each restart gets budget // restarts of them,
+    rounded up to one sweep (depth updates), so budget=1 on a depth-2 pattern
+    still runs restarts x 2 updates.  Returns the best factors found and the
     largest single-factor Frobenius norm seen along the accepted iterates,
     which is the quantity that diverges when the infimum is unattained.
     Patterns whose polish system would pass SYSTEM_BYTES_CAP are refused.
@@ -96,7 +100,7 @@ def infimum_oracle(
                          f"{system_bytes}-byte system, cap is {SYSTEM_BYTES_CAP}")
 
     masks = pattern.mask_arrays
-    mask_entries = [np.nonzero(m) for m in masks]
+    plan = _plan(masks, A.shape)
     per_restart = max(budget // restarts, pattern.depth)
 
     best_dist = np.inf
@@ -108,12 +112,12 @@ def infimum_oracle(
         counts["restarts"] += 1
         rng = np.random.default_rng([seed, r])
         xs = [rng.uniform(-1.0, 1.0, size=m.shape) * m for m in masks]
-        dist, xs, seen, used = _descend(A, xs, masks, mask_entries, per_restart, counts)
+        dist, xs, seen, used = _descend(A, xs, plan, per_restart, counts)
         max_norm = max(max_norm, seen)
         if used < per_restart and 1e-13 < dist and _max_norm(xs) < 1e6:
             # alternating updates have a sublinear tail near attained optima;
             # a Gauss-Newton polish finishes the job there
-            dist, xs = _polish(A, xs, mask_entries, per_restart - used, counts)
+            dist, xs = _polish(A, xs, plan, per_restart - used, counts)
             max_norm = max(max_norm, _max_norm(xs))
         if dist < best_dist:
             best_dist = dist
@@ -129,39 +133,99 @@ def infimum_oracle(
     )
 
 
+class _Entry(NamedTuple):
+    """What the search needs of one factor, built once per search: its mask
+    entries, its float mask, the identities that close the products on
+    either side of it, and the sides of its design block that no factor
+    changes (the left side of the last factor, the right side of the
+    first), else None."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mask: np.ndarray
+    eye_out: np.ndarray
+    eye_in: np.ndarray
+    left: np.ndarray | None
+    right: np.ndarray | None
+
+
+def _plan(masks, shape):
+    eye_out, eye_in = np.eye(shape[0]), np.eye(shape[1])
+    plan = []
+    for i, mask in enumerate(masks):
+        rows, cols = np.nonzero(mask)
+        entry = _Entry(rows, cols, mask.astype(float), eye_out, eye_in, None, None)
+        plan.append(entry._replace(
+            left=_left(entry, []) if i == len(masks) - 1 else None,
+            right=_right(entry, []) if i == 0 else None,
+        ))
+    return plan
+
+
+def _norm(x) -> float:
+    """np.linalg.norm(x) for ord=None, bit for bit, without its dispatch."""
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def _distance(A, xs) -> float:
-    return float(np.linalg.norm(A - chain_product(xs)))
+    return _norm(A - chain_product(xs))
 
 
 def _max_norm(xs) -> float:
-    return max(float(np.linalg.norm(x)) for x in xs)
+    return max(_norm(x) for x in xs)
 
 
-def _design(xs, i, rows, cols, shape):
+def _left(entry, after):
+    # the product of the factors after factor i (the identity when none),
+    # at the factor's mask rows
+    return chain_product([*after, entry.eye_out])[:, entry.rows][:, None, :]
+
+
+def _right(entry, before):
+    # the product of the factors before factor i (the identity when none),
+    # at the factor's mask columns
+    return chain_product([entry.eye_in, *before])[entry.cols, :].T[None, :, :]
+
+
+def _design(xs, i, entry, shape):
     """Coefficients of the masked entries X_i[rows, cols] in the product, as
-    an (entries of the product, len(rows)) block: the product is linear in X_i."""
-    # products around factor i (identity when empty)
-    left = chain_product([*xs[i + 1 :], np.eye(shape[0])])
-    right = chain_product([np.eye(shape[1]), *xs[:i]])
-    # coefficient of X_i[r, c] in entry (p, q) is left[p, r] * right[c, q]
-    return (left[:, rows][:, None, :] * right[cols, :].T[None, :, :]).reshape(
-        shape[0] * shape[1], len(rows)
-    )
+    an (entries of the product, len(rows)) block: the product is linear in X_i.
+    The coefficient of X_i[r, c] in entry (p, q) is left[p, r] * right[c, q]."""
+    left = _left(entry, xs[i + 1 :]) if entry.left is None else entry.left
+    right = _right(entry, xs[:i]) if entry.right is None else entry.right
+    return (left * right).reshape(shape[0] * shape[1], len(entry.rows))
 
 
-def _sweep(A, xs, mask_entries):
+def _sweep(A, xs, plan):
     """One pass of masked least-squares updates, first factor to last."""
     xs = list(xs)
-    for i, (rows, cols) in enumerate(mask_entries):
-        if len(rows) == 0:
+    b = A.reshape(-1)
+    for i, entry in enumerate(plan):
+        if len(entry.rows) == 0:
             continue
-        sol, *_ = np.linalg.lstsq(_design(xs, i, rows, cols, A.shape), A.reshape(-1), rcond=None)
-        xs[i] = np.zeros_like(xs[i])
-        xs[i][rows, cols] = sol
+        sol, *_ = np.linalg.lstsq(_design(xs, i, entry, A.shape), b, rcond=None)
+        x = np.zeros(entry.mask.shape)
+        x[entry.rows, entry.cols] = sol
+        xs[i] = x
     return xs
 
 
-def _descend(A, xs, masks, mask_entries, budget, counts):
+def _log_ratio(x, xp):
+    """log of |x / xp| clipped to [0.1, 10], 0 where |xp| <= 1e-300 or the
+    ratio is NaN."""
+    r = np.ones(x.shape)
+    # an overflowing ratio is clipped to 10 below, and a NaN one set to 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(x, xp, out=r, where=np.abs(xp) > 1e-300)
+    np.abs(r, out=r)
+    r[np.isnan(r)] = 1.0
+    np.maximum(r, 0.1, out=r)
+    np.minimum(r, 10.0, out=r)
+    return np.log(r, out=r)
+
+
+def _descend(A, xs, plan, budget, counts):
     depth = len(xs)
     used = 0
     dist = _distance(A, xs)
@@ -170,34 +234,28 @@ def _descend(A, xs, masks, mask_entries, budget, counts):
     last_best = dist
     while used + depth <= budget:
         prev = xs
-        xs = _sweep(A, xs, mask_entries)
+        xs = _sweep(A, xs, plan)
         used += depth
         counts["sweeps"] += 1
         dist = _distance(A, xs)
         seen = max(seen, _max_norm(xs))
 
-        log_ratios = []
-        for x, xp in zip(xs, prev):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.abs(x / np.where(xp == 0.0, 1.0, xp))
-            r = np.where(np.abs(xp) > 1e-300, r, 1.0)
-            r = np.nan_to_num(r, nan=1.0, posinf=10.0, neginf=1.0)
-            log_ratios.append(np.log(np.clip(r, 0.1, 10.0)))
+        log_ratios = [_log_ratio(x, xp) for x, xp in zip(xs, prev)]
         power = 1.0
         while used + depth <= budget:
             # a step that overflows is rejected by the finiteness test below
             with np.errstate(over="ignore"):
                 cand = [
-                    (x * np.exp(np.clip(lr * power, -700.0, 700.0))) * m
-                    for x, lr, m in zip(xs, log_ratios, masks)
+                    (x * np.exp(np.clip(lr * power, -700.0, 700.0))) * entry.mask
+                    for x, lr, entry in zip(xs, log_ratios, plan)
                 ]
-            cand = _sweep(A, cand, mask_entries)
+            cand = _sweep(A, cand, plan)
             used += depth
             cand_dist = _distance(A, cand)
-            if np.isfinite(cand_dist) and cand_dist < dist and _max_norm(cand) < _NORM_GUARD:
+            if np.isfinite(cand_dist) and cand_dist < dist and (cand_norm := _max_norm(cand)) < _NORM_GUARD:
                 counts["extrapolations_accepted"] += 1
                 xs, dist = cand, cand_dist
-                seen = max(seen, _max_norm(xs))
+                seen = max(seen, cand_norm)
                 power *= 2.0
             else:
                 counts["extrapolations_rejected"] += 1
@@ -210,35 +268,39 @@ def _descend(A, xs, masks, mask_entries, budget, counts):
     return dist, xs, seen, used
 
 
-def _polish(A, xs, mask_entries, budget, counts):
+def _polish(A, xs, plan, budget, counts):
     """Levenberg-damped Gauss-Newton over the masked entries, warm-started.
 
     A step is kept only when it lowers the distance (the damping then falls
     threefold, else it doubles), so the point returned is the best one
     evaluated.  Runs at most max(budget // depth, 2) steps, and stops early
     below 1e-14 or on the descent's stall rule."""
-    if not any(len(rows) for rows, _ in mask_entries):
+    if not any(len(entry.rows) for entry in plan):
         return _distance(A, xs), xs
     counts["polish_calls"] += 1
-    dist = _distance(A, xs)
+    resid = (A - chain_product(xs)).ravel()
+    dist = _norm(resid)
+    n = sum(len(entry.rows) for entry in plan)
+    eye = np.eye(n)
+    zeros = np.zeros(n)
     last_best, stall, damping = dist, 0, 1e-3
     for _ in range(max(budget // len(xs), 2)):
-        jac = np.hstack([_design(xs, i, rows, cols, A.shape) for i, (rows, cols) in enumerate(mask_entries)])
-        n = jac.shape[1]
+        jac = np.hstack([_design(xs, i, entry, A.shape) for i, entry in enumerate(plan)])
         step, *_ = np.linalg.lstsq(
-            np.vstack([jac, np.sqrt(damping) * np.eye(n)]),
-            np.concatenate([(A - chain_product(xs)).ravel(), np.zeros(n)]),
+            np.vstack([jac, np.sqrt(damping) * eye]),
+            np.concatenate([resid, zeros]),
             rcond=None,
         )
         cand = [x.copy() for x in xs]
         start = 0
-        for x, (rows, cols) in zip(cand, mask_entries):
-            x[rows, cols] += step[start : start + len(rows)]
-            start += len(rows)
+        for x, entry in zip(cand, plan):
+            x[entry.rows, entry.cols] += step[start : start + len(entry.rows)]
+            start += len(entry.rows)
         counts["polish_evaluations"] += 1
-        cand_dist = _distance(A, cand)
+        cand_resid = (A - chain_product(cand)).ravel()
+        cand_dist = _norm(cand_resid)
         if cand_dist < dist:
-            xs, dist, damping = cand, cand_dist, damping / 3.0
+            xs, resid, dist, damping = cand, cand_resid, cand_dist, damping / 3.0
         else:
             damping *= 2.0
         if dist < 1e-14:

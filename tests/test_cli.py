@@ -446,6 +446,8 @@ FAILURES = [
     ("check-negative-seed", ["check", "--pattern", "{tmp}/lu2.json", "--verify-witness", "--seed", "-1"], 4),
     ("check-negative-seed-dense", ["check", "--pattern", "{tmp}/dense.json", "--verify-witness", "--seed", "-1"], 4),
     ("check-non-integer-option", ["check", "--pattern", "{tmp}/lu2.json", "--budget", "abc"], 4),
+    # zero means no enumeration; below zero is refused, not read as zero
+    ("check-negative-max-hidden-enum", ["check", "--pattern", "{tmp}/lu2.json", "--max-hidden-enum", "-3"], 4),
     ("gen-dataset-bad-pattern", ["gen-dataset", "--pattern", "{tmp}/dims5.json", "--out", "{tmp}/d"], 3),
     ("gen-dataset-bad-a-json", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--a", "{tmp}/bad.json",
                                 "--out", "{tmp}/d"], 3),
@@ -545,7 +547,9 @@ def test_failure_exit_codes(tmp_path, argv, code):
         assert not list(tmp_path.rglob("trace_*.csv"))
 
 
-@pytest.mark.parametrize("option, value", [("--budget", "0"), ("--budget", "-5"), ("--seed", "-1")])
+@pytest.mark.parametrize("option, value", [
+    ("--budget", "0"), ("--budget", "-5"), ("--seed", "-1"), ("--max-hidden-enum", "-3"),
+])
 @pytest.mark.parametrize("pattern", [dense_pattern((4, 3, 1)), lu_pattern(2)], ids=["dense", "lu2"])
 def test_check_search_options_are_named_when_refused(tmp_path, capsys, pattern, option, value):
     f = write_pattern(tmp_path / "p.json", pattern)
@@ -568,6 +572,34 @@ def test_gen_dataset_and_project_options_are_named_when_refused(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith(f"error: {option} must be")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+
+def test_zero_max_hidden_enum_skips_the_enumeration(lu2_file, capsys):
+    assert main(["check", "--pattern", lu2_file, "--max-hidden-enum", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["sufficient_condition"] is None
+
+
+@pytest.mark.parametrize("calls", [
+    [["check", "--pattern", "{tmp}/lu2.json"],
+     ["project", "--input", "{tmp}/square.json", "--keep", "1", "--out", "{tmp}/o.json"]],
+    [["check", "--pattern", "{tmp}/lu2.json", "--budget", "abc"],
+     ["check", "--pattern", "{tmp}/lu2.json", "--max-hidden-enum", "1"]],
+    [["project", "--input", "{tmp}/square.json"],
+     ["check", "--pattern", "{tmp}/lu2.json", "--verify-witness", "--budget", "1"]],
+], ids=["check-then-project", "rejection-then-check", "rejection-then-search"])
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys, calls):
+    # main reuses one parser; no call may see state left by the one before
+    write_pattern(tmp_path / "lu2.json", lu_pattern(2))
+    (tmp_path / "square.json").write_text(json.dumps(SQUARE))
+    for argv in ([a.format(tmp=tmp_path) for a in call] for call in calls):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "sparse_closure.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_parser_defaults_are_the_library_defaults():

@@ -1,10 +1,15 @@
+from collections import Counter
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
+from sparse_closure import infimum
 from sparse_closure.closure import closure_gap_witness_lu, scalar_output_projection_distance
-from sparse_closure.infimum import infimum_oracle
+from sparse_closure.infimum import SearchStats, infimum_oracle
 from sparse_closure.patterns import (
     SupportPattern,
+    chain_product,
     dense_pattern,
     lu_pattern,
     product,
@@ -87,3 +92,191 @@ class TestValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             infimum_oracle(np.eye(3), lu_pattern(2), budget=10)
+
+
+def reference_oracle(A, pattern, budget, seed, restarts=8):
+    """The search as it ran before its per-search plan: a fresh design with
+    two np.eye per factor update, np.linalg.norm for every norm, and the
+    nan_to_num/clip log ratio.  Returns (distance, factors, max_factor_norm,
+    stats) for a bitwise comparison with infimum_oracle."""
+    masks = pattern.mask_arrays
+    mask_entries = [np.nonzero(m) for m in masks]
+    per_restart = max(budget // restarts, pattern.depth)
+    counts = Counter()
+
+    def distance(xs):
+        return float(np.linalg.norm(A - chain_product(xs)))
+
+    def max_norm(xs):
+        return max(float(np.linalg.norm(x)) for x in xs)
+
+    def design(xs, i, rows, cols):
+        left = chain_product([*xs[i + 1 :], np.eye(A.shape[0])])
+        right = chain_product([np.eye(A.shape[1]), *xs[:i]])
+        return (left[:, rows][:, None, :] * right[cols, :].T[None, :, :]).reshape(A.size, len(rows))
+
+    def sweep(xs):
+        xs = list(xs)
+        for i, (rows, cols) in enumerate(mask_entries):
+            if len(rows) == 0:
+                continue
+            sol, *_ = np.linalg.lstsq(design(xs, i, rows, cols), A.reshape(-1), rcond=None)
+            xs[i] = np.zeros_like(xs[i])
+            xs[i][rows, cols] = sol
+        return xs
+
+    def descend(xs, budget):
+        depth, used, stall = len(xs), 0, 0
+        dist = distance(xs)
+        seen, last_best = max_norm(xs), dist
+        while used + depth <= budget:
+            prev = xs
+            xs = sweep(xs)
+            used += depth
+            counts["sweeps"] += 1
+            dist = distance(xs)
+            seen = max(seen, max_norm(xs))
+            log_ratios = []
+            for x, xp in zip(xs, prev):
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    r = np.abs(x / np.where(xp == 0.0, 1.0, xp))
+                r = np.where(np.abs(xp) > 1e-300, r, 1.0)
+                r = np.nan_to_num(r, nan=1.0, posinf=10.0, neginf=1.0)
+                log_ratios.append(np.log(np.clip(r, 0.1, 10.0)))
+            power = 1.0
+            while used + depth <= budget:
+                with np.errstate(over="ignore"):
+                    cand = [(x * np.exp(np.clip(lr * power, -700.0, 700.0))) * m
+                            for x, lr, m in zip(xs, log_ratios, masks)]
+                cand = sweep(cand)
+                used += depth
+                cand_dist = distance(cand)
+                if np.isfinite(cand_dist) and cand_dist < dist and max_norm(cand) < infimum._NORM_GUARD:
+                    counts["extrapolations_accepted"] += 1
+                    xs, dist = cand, cand_dist
+                    seen = max(seen, max_norm(xs))
+                    power *= 2.0
+                else:
+                    counts["extrapolations_rejected"] += 1
+                    break
+            if dist < 1e-14:
+                break
+            last_best, stall = infimum._stall(dist, last_best, stall)
+            if stall >= infimum._STALL_ROUNDS:
+                break
+        return dist, xs, seen, used
+
+    def polish(xs, budget):
+        if not any(len(rows) for rows, _ in mask_entries):
+            return distance(xs), xs
+        counts["polish_calls"] += 1
+        dist = distance(xs)
+        last_best, stall, damping = dist, 0, 1e-3
+        for _ in range(max(budget // len(xs), 2)):
+            jac = np.hstack([design(xs, i, rows, cols) for i, (rows, cols) in enumerate(mask_entries)])
+            n = jac.shape[1]
+            step, *_ = np.linalg.lstsq(
+                np.vstack([jac, np.sqrt(damping) * np.eye(n)]),
+                np.concatenate([(A - chain_product(xs)).ravel(), np.zeros(n)]),
+                rcond=None,
+            )
+            cand = [x.copy() for x in xs]
+            start = 0
+            for x, (rows, cols) in zip(cand, mask_entries):
+                x[rows, cols] += step[start : start + len(rows)]
+                start += len(rows)
+            counts["polish_evaluations"] += 1
+            cand_dist = distance(cand)
+            if cand_dist < dist:
+                xs, dist, damping = cand, cand_dist, damping / 3.0
+            else:
+                damping *= 2.0
+            if dist < 1e-14:
+                break
+            last_best, stall = infimum._stall(dist, last_best, stall)
+            if stall >= infimum._STALL_ROUNDS:
+                counts["polish_stall_stops"] += 1
+                break
+        return dist, xs
+
+    best_dist, best_factors, seen_norm = np.inf, None, 0.0
+    for r in range(restarts):
+        counts["restarts"] += 1
+        rng = np.random.default_rng([seed, r])
+        xs = [rng.uniform(-1.0, 1.0, size=m.shape) * m for m in masks]
+        dist, xs, seen, used = descend(xs, per_restart)
+        seen_norm = max(seen_norm, seen)
+        if used < per_restart and 1e-13 < dist and max_norm(xs) < 1e6:
+            dist, xs = polish(xs, per_restart - used)
+            seen_norm = max(seen_norm, max_norm(xs))
+        if dist < best_dist:
+            best_dist, best_factors = dist, [x.copy() for x in xs]
+        if best_dist < 1e-13:
+            break
+    stats = tuple(counts[f.name] for f in fields(SearchStats))
+    return float(best_dist), best_factors, float(seen_norm), stats
+
+
+def differential_panel():
+    """(name, target, pattern, budget, seed): the lu(2)-lu(4) gap searches of
+    the CLI's seeds, then random depth-2 and depth-3 patterns with realizable
+    and random targets."""
+    for d in (2, 3, 4):
+        for seed in GAP_SEEDS:
+            yield f"lu{d}-gap-{seed}", np.array(closure_gap_witness_lu(d), dtype=float), lu_pattern(d), 100_000, seed
+    rng = np.random.default_rng(2024)
+    for k in range(32):
+        depth = 2 + k % 2
+        dims = tuple(int(v) for v in rng.integers(1, 5, size=depth + 1))
+        masks = tuple(
+            frozenset((r, c) for r in range(dims[j + 1]) for c in range(dims[j]) if rng.random() < 0.6)
+            for j in range(depth)
+        )
+        pattern = SupportPattern(dims=dims, masks=masks)
+        if k % 4 < 2:
+            yield f"depth{depth}-realizable-{k}", product(random_factors(pattern, rng)), pattern, 2_000, k
+        else:
+            yield f"depth{depth}-random-{k}", rng.uniform(-2.0, 2.0, size=(dims[-1], dims[0])), pattern, 2_000, k
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAgainstReference:
+    def test_panel_is_bitwise_identical(self):
+        panel = list(differential_panel())
+        assert len(panel) >= 40
+        polished = 0
+        for name, target, pattern, budget, seed in panel:
+            result = infimum_oracle(target, pattern, budget=budget, seed=seed)
+            distance, factors, max_factor_norm, stats = reference_oracle(target, pattern, budget, seed)
+            assert same_bits(result.distance, distance), name
+            assert same_bits(result.max_factor_norm, max_factor_norm), name
+            assert astuple(result.stats) == stats, name
+            assert len(result.factors.factors) == len(factors), name
+            for got, want in zip(result.factors.factors, factors):
+                # tobytes compares the sign of every zero as well
+                assert same_bits(got, want), name
+                assert np.array_equal(np.signbit(got), np.signbit(want)), name
+            polished += result.stats.polish_calls > 0
+        # the panel reaches the polish as well as the descent
+        assert polished >= 10
+
+    def test_lu3_search_builds_its_identities_once_and_calls_no_norm(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "eye", counted("eye", np.eye))
+        monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+        target = np.array(closure_gap_witness_lu(3), dtype=float)
+        result = infimum_oracle(target, lu_pattern(3), budget=100_000, seed=0)
+        # one identity per side of the product, one damping identity per polish
+        assert calls["eye"] <= 2 + result.stats.polish_calls
+        assert calls["norm"] == 0
