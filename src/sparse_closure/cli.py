@@ -191,6 +191,8 @@ def cmd_train_lu(args) -> int:
 def cmd_gen_dataset(args) -> int:
     if args.point_cap < 1:
         raise ValueError(f"--point-cap must be positive, got {args.point_cap}")
+    if args.p is not None and args.p < 1:
+        raise ValueError(f"--p must be positive, got {args.p}")
     pattern = load_input(load_pattern, args.pattern)
     if args.a is not None:
         rows = load_input(load_rows, args.a)

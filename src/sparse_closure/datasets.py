@@ -8,14 +8,14 @@ untouched by any of H hyperplanes once the grid resolution reaches 3*N*H.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain
 from itertools import product as iter_product
 from math import lcm
-from operator import mul
+from operator import itemgetter
 
 from .patterns import SupportPattern, pattern_to_json
 from .rational import as_fraction, format_fraction, format_matrix, matrix, row_lengths, vector
@@ -38,6 +38,10 @@ PRINTED_COUNT_BITS = 13_000
 DEFAULT_POINT_CAP = 10_000_000
 
 
+# rows write_dataset transposes and writes at a time
+WRITE_CHUNK_ROWS = 4096
+
+
 class TooManyPoints(ValueError):
     """The requested grid would materialize more points than the cap allows."""
 
@@ -57,16 +61,11 @@ class Grid:
     def cardinality(self) -> int:
         return (self.resolution + 1) ** self.dimension
 
-    def indexed_points(self):
-        """Yield (idx, idx / p) for every point, idx an integer tuple; the
-        coordinates are drawn from one table of p + 1 shared Fraction(i, p)."""
-        p = self.resolution
-        table = tuple(Fraction(i, p) for i in range(p + 1))
-        for idx in iter_product(range(p + 1), repeat=self.dimension):
-            yield idx, tuple(map(table.__getitem__, idx))
-
     def points(self):
-        return (point for _, point in self.indexed_points())
+        """Every point in lexicographic order, the last coordinate fastest;
+        the coordinates are drawn from one table of p + 1 shared Fraction(i, p)."""
+        p = self.resolution
+        return iter_product([Fraction(i, p) for i in range(p + 1)], repeat=self.dimension)
 
 
 @dataclass(frozen=True)
@@ -220,21 +219,26 @@ def build_bad_dataset(
     (small grids already exhibit the divergence phenomenon).
     """
     p = dataset_resolution(row_lengths(a), pattern, p_override, point_cap)
-    rows = matrix(a)
     grid = Grid(resolution=p, dimension=pattern.input_dim)
     # row r is nums / den in integers over its common denominator, so its label
-    # at idx / p is Fraction(nums . idx, den * p); one cache per row (a dict
-    # keyed by the numerator) builds each distinct label once and shares it
-    labels = []
-    for row in rows:
+    # at idx / p is Fraction(nums . idx, den * p).  In grid order the label
+    # column is one run over the last coordinate for each point of the others,
+    # and points whose other coordinates give the same partial dot product
+    # share a run; one cache per row (a dict keyed by the numerator) builds
+    # each distinct label once and shares it
+    steps = range(p + 1)
+    columns = []
+    for row in matrix(a):
         den = lcm(*(x.denominator for x in row))
-        nums = [x.numerator * (den // x.denominator) for x in row]
-        labels.append((nums, cache(partial(Fraction, denominator=den * p))))
-    inputs, targets = [], []
-    for idx, x in grid.indexed_points():
-        inputs.append(x)
-        targets.append(tuple([label(sum(map(mul, nums, idx))) for nums, label in labels]))
-    return LabeledDataset(inputs=tuple(inputs), targets=tuple(targets)), p
+        *head, tail = [x.numerator * (den // x.denominator) for x in row]
+        prefix = [0]
+        for c in head:
+            prefix = [s + c * i for s in prefix for i in steps]
+        label = cache(partial(Fraction, denominator=den * p))
+        offsets = [tail * i for i in steps]
+        runs = {s: tuple(map(label, map(s.__add__, offsets))) for s in set(prefix)}
+        columns.append(chain.from_iterable(map(runs.__getitem__, prefix)))
+    return LabeledDataset(inputs=tuple(grid.points()), targets=tuple(zip(*columns))), p
 
 
 def write_dataset(
@@ -248,20 +252,34 @@ def write_dataset(
     """CSV with x columns then y columns (exact 'p/q' strings) plus a JSON
     header recording the target matrix, pattern and resolution.  Each value
     object is formatted once: the grid table and the label caches share
-    them.  The memo holds each object, so no id is reused during the write."""
+    them.  The rows are written WRITE_CHUNK_ROWS at a time, each chunk
+    transposed into columns, so a value's text is found by its id with no
+    Python call per entry.  Joining with ',' and CRLF gives csv.writer's
+    bytes, since no 'p/q' field holds a comma, a quote or a line break."""
     n_in = len(dataset.inputs[0]) if dataset.inputs else 0
     n_out = len(dataset.targets[0]) if dataset.targets else 0
-    memo: dict[int, tuple[Fraction, str]] = {}
+    # the text of every value object met so far, keyed by id; the objects are
+    # held too, so no id is reused during the write
+    held: dict[int, Fraction] = {}
+    texts: dict[int, str] = {}
 
-    def text(v):
-        if (hit := memo.get(id(v))) is None:
-            hit = memo[id(v)] = v, format_fraction(v)
-        return hit[1]
+    def column_texts(column):
+        ids = [*map(id, column)]
+        distinct = dict(zip(ids, column))
+        held.update(distinct)
+        new = set(distinct).difference(texts)
+        texts.update(zip(new, map(format_fraction, map(distinct.__getitem__, new))))
+        return map(texts.__getitem__, ids)
 
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(n_in)] + [f"y{i + 1}" for i in range(n_out)])
-        writer.writerows([*map(text, x), *map(text, y)] for x, y in zip(dataset.inputs, dataset.targets))
+        fh.write(",".join([f"x{i + 1}" for i in range(n_in)] + [f"y{i + 1}" for i in range(n_out)]) + "\r\n")
+        for start in range(0, len(dataset), WRITE_CHUNK_ROWS):
+            xs = dataset.inputs[start : start + WRITE_CHUNK_ROWS]
+            ys = dataset.targets[start : start + WRITE_CHUNK_ROWS]
+            columns = [[*map(itemgetter(i), xs)] for i in range(n_in)]
+            columns += [[*map(itemgetter(i), ys)] for i in range(n_out)]
+            fh.write("\r\n".join(map(",".join, zip(*map(column_texts, columns)))))
+            fh.write("\r\n")
     header = {
         "A": format_matrix(matrix(a)),
         "pattern": pattern_to_json(pattern),

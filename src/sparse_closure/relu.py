@@ -175,6 +175,8 @@ class TrainingConfig:
             raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def zero_velocity(params: NetworkParams) -> Gradients:

@@ -466,6 +466,13 @@ FAILURES = [
                                     "--out", "{tmp}/d"], 4),
     ("gen-dataset-negative-point-cap", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--point-cap", "-5",
                                         "--out", "{tmp}/d"], 4),
+    # like --point-cap, --p is refused before the pattern is read: a missing
+    # pattern or one with no known target is not what gets reported
+    ("gen-dataset-zero-p", ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--p", "0", "--out", "{tmp}/d"], 4),
+    ("gen-dataset-zero-p-missing-pattern", ["gen-dataset", "--pattern", "{tmp}/nope.json", "--p", "0",
+                                            "--out", "{tmp}/d"], 4),
+    ("gen-dataset-negative-p-no-witness", ["gen-dataset", "--pattern", "{tmp}/dense.json", "--p", "-2",
+                                           "--out", "{tmp}/d"], 4),
     ("emit-smt-bad-pattern", ["emit-smt", "--pattern", "{tmp}/masks5.json", "--out", "{tmp}/s.smt2"], 3),
     ("emit-smt-unwritable-out", ["emit-smt", "--pattern", "{tmp}/lu2.json", "--out", "{tmp}/file/s.smt2"], 4),
     ("project-missing", ["project", "--input", "{tmp}/nope.json", "--keep", "1", "--out", "{tmp}/o.json"], 3),
@@ -500,6 +507,8 @@ FAILURES = [
                          "--runs", "1", "--lr", "nan", "--out", "{tmp}/t"], 4),
     ("train-lu-lr-negative", ["train-lu", "--d", "2", "--samples", "40", "--batch-size", "20", "--epochs", "2",
                               "--runs", "1", "--lr", "-0.1", "--out", "{tmp}/t"], 4),
+    ("train-lu-negative-seed", ["train-lu", "--d", "2", "--samples", "40", "--batch-size", "20", "--epochs", "2",
+                                "--runs", "1", "--seed", "-1", "--out", "{tmp}/t"], 4),
     ("train-lu-unwritable-out", ["train-lu", "--d", "2", "--samples", "20", "--batch-size", "10",
                                  "--epochs", "1", "--runs", "1",
                                  "--out", "{tmp}/file/t"], 4),
@@ -544,6 +553,8 @@ def test_failure_exit_codes(tmp_path, argv, code):
         # 0, 1 and 2 are verdicts; a failure must never read as one
         assert proc.returncode not in (0, 1, 2)
     if argv[0] == "train-lu":
+        # every refusal comes before --out is created
+        assert not (tmp_path / "t").exists()
         assert not list(tmp_path.rglob("trace_*.csv"))
 
 
@@ -562,9 +573,11 @@ def test_check_search_options_are_named_when_refused(tmp_path, capsys, pattern, 
 @pytest.mark.parametrize("argv, option", [
     (["gen-dataset", "--pattern", "{tmp}/p.json", "--point-cap", "0", "--out", "{tmp}/d"], "--point-cap"),
     (["gen-dataset", "--pattern", "{tmp}/p.json", "--point-cap", "-5", "--out", "{tmp}/d"], "--point-cap"),
+    (["gen-dataset", "--pattern", "{tmp}/nope.json", "--p", "0", "--out", "{tmp}/d"], "--p"),
+    (["gen-dataset", "--pattern", "{tmp}/nope.json", "--p", "-3", "--out", "{tmp}/d"], "--p"),
     (["project", "--input", "{tmp}/nope.json", "--keep", "x", "--out", "{tmp}/o.json"], "--keep"),
     (["project", "--input", "{tmp}/nope.json", "--keep", "1,2.5", "--out", "{tmp}/o.json"], "--keep"),
-], ids=["point-cap-0", "point-cap-negative", "keep-x", "keep-fraction"])
+], ids=["point-cap-0", "point-cap-negative", "p-0", "p-negative", "keep-x", "keep-fraction"])
 def test_gen_dataset_and_project_options_are_named_when_refused(tmp_path, capsys, argv, option):
     write_pattern(tmp_path / "p.json", lu_pattern(2))
     assert main([a.format(tmp=tmp_path) for a in argv]) == 4

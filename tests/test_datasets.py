@@ -1,7 +1,11 @@
 import csv
 import json
+import sys
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product as iter_product
+from math import lcm
+from operator import mul
 
 import numpy as np
 import pytest
@@ -24,8 +28,8 @@ from sparse_closure.datasets import (
     theoretical_resolution,
     write_dataset,
 )
-from sparse_closure.patterns import SupportPattern, dense_pattern, lu_pattern
-from sparse_closure.rational import matrix, row_lengths
+from sparse_closure.patterns import SupportPattern, dense_pattern, lu_pattern, pattern_to_json
+from sparse_closure.rational import format_fraction, format_matrix, matrix, row_lengths
 
 
 def random_plane(rng, dim):
@@ -47,6 +51,72 @@ def reference_dataset(a, pattern, p_override):
     )
     targets = tuple(tuple(sum(x * y for x, y in zip(row, v)) for row in rows) for v in inputs)
     return LabeledDataset(inputs=inputs, targets=targets), p
+
+
+def reference_build(a, pattern, p_override):
+    """build_bad_dataset one Python pass per grid point: the point drawn from a
+    table of shared Fraction(i, p), and each label the integer dot product of
+    its row's numerators with the point's indices, looked up in one cache per
+    row."""
+    p = dataset_resolution(row_lengths(a), pattern, p_override, DEFAULT_POINT_CAP)
+    table = tuple(Fraction(i, p) for i in range(p + 1))
+    labels = []
+    for row in matrix(a):
+        den = lcm(*(x.denominator for x in row))
+        nums = [x.numerator * (den // x.denominator) for x in row]
+        labels.append((nums, cache(partial(Fraction, denominator=den * p))))
+    inputs, targets = [], []
+    for idx in iter_product(range(p + 1), repeat=pattern.input_dim):
+        inputs.append(tuple(map(table.__getitem__, idx)))
+        targets.append(tuple([label(sum(map(mul, nums, idx))) for nums, label in labels]))
+    return LabeledDataset(inputs=tuple(inputs), targets=tuple(targets)), p
+
+
+def reference_write(dataset, csv_path, header_path, a, pattern, resolution):
+    """write_dataset through csv.writer, one row and one memo call per value."""
+    n_in = len(dataset.inputs[0]) if dataset.inputs else 0
+    n_out = len(dataset.targets[0]) if dataset.targets else 0
+    memo = {}
+
+    def text(v):
+        if (hit := memo.get(id(v))) is None:
+            hit = memo[id(v)] = v, format_fraction(v)
+        return hit[1]
+
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(n_in)] + [f"y{i + 1}" for i in range(n_out)])
+        writer.writerows([*map(text, x), *map(text, y)] for x, y in zip(dataset.inputs, dataset.targets))
+    header = {"A": format_matrix(matrix(a)), "pattern": pattern_to_json(pattern), "p": resolution,
+              "num_points": len(dataset)}
+    with open(header_path, "w") as fh:
+        json.dump(header, fh, indent=1)
+        fh.write("\n")
+
+
+def written(write, dataset, directory, a, pattern, p):
+    """The CSV and header bytes that write puts in directory."""
+    directory.mkdir(exist_ok=True)
+    csv_path, header_path = directory / "d.csv", directory / "d.json"
+    write(dataset, csv_path, header_path, a, pattern, p)
+    return csv_path.read_bytes(), header_path.read_bytes()
+
+
+def python_calls(fn, *args):
+    """fn(*args) and the number of Python-level calls it made."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
 
 
 def random_entry(rng):
@@ -260,6 +330,49 @@ class TestBuildBadDataset:
                 write_dataset(dataset, csv_path, header_path, a, pattern, q)
                 files.append((csv_path.read_bytes(), header_path.read_bytes()))
             assert files[0] == files[1]
+
+    # negative, fractional and mixed-denominator rows, one to three inputs
+    FIXED_TARGETS = [
+        [[Fraction(-3, 4)]],
+        [["-1/3", "5/7", -2]],
+        [[Fraction(1, 6), "-3/10"], [Fraction(-5, 9), 0]],
+        [[-1, 2, 0], ["7/12", "-1/8", "1/3"], [0, 0, "-2/5"]],
+    ]
+
+    @pytest.mark.parametrize("chunk", [1, 5, datasets.WRITE_CHUNK_ROWS])
+    def test_column_passes_match_the_per_point_reference(self, tmp_path, monkeypatch, chunk):
+        # the build and the writer against their per-point forms, with write
+        # chunks small enough that most datasets span several
+        monkeypatch.setattr(datasets, "WRITE_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(43)
+        targets = self.FIXED_TARGETS + [
+            random_target(rng, int(rng.integers(1, 4)), 1 + case % 3) for case in range(30)
+        ]
+        for case, a in enumerate(targets):
+            n_out, n_in = len(a), len(a[0])
+            pattern = dense_pattern((n_in, 1, n_out))
+            p = int(rng.choice((1, 2, 3, 6)))
+            expected = reference_build(a, pattern, p)
+            got = build_bad_dataset(a, pattern, p_override=p)
+            assert got == expected, case
+            # the reference labelling's values are unshared objects
+            for dataset, q in (got, reference_dataset(a, pattern, p)):
+                new = written(write_dataset, dataset, tmp_path / "new", a, pattern, q)
+                assert new == written(reference_write, dataset, tmp_path / "ref", a, pattern, q), case
+
+    def test_build_and_write_make_no_python_call_per_point(self, tmp_path):
+        # lu(2) at p = 96, 9,409 points: the per-point forms make 19,284
+        # (build) and 48,614 (write) Python-level calls
+        pattern, witness = lu_pattern(2), closure_gap_witness_lu(2)
+        (dataset, p), calls = python_calls(build_bad_dataset, witness, pattern)
+        assert p == 96 and calls < 1_000
+        assert (dataset, p) == reference_build(witness, pattern, None)
+        csv_path, header_path = tmp_path / "d.csv", tmp_path / "d.json"
+        _, calls = python_calls(write_dataset, dataset, csv_path, header_path, witness, pattern, p)
+        assert calls < 3_000
+        assert (csv_path.read_bytes(), header_path.read_bytes()) == written(
+            reference_write, dataset, tmp_path / "ref", witness, pattern, p
+        )
 
     def test_labels_use_no_per_entry_fraction_arithmetic(self, monkeypatch):
         # each label is one integer dot product over its row's common

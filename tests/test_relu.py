@@ -285,6 +285,7 @@ class TestTrainingConfig:
         {"weight_decay": float("nan")},
         {"weight_decay": float("inf")},
         {"weight_decay": -1e-4},
+        {"seed": -1},
     ])
     def test_setting_that_cannot_train_rejected(self, setting):
         with pytest.raises(ValueError):
