@@ -62,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="iteration budget for --verify-witness")
     check.add_argument("--seed", type=int, default=0, help="seed for --verify-witness")
     check.add_argument("--out", help="write the verdict JSON here as well as stdout")
+    check.set_defaults(handler=cmd_check, bounds={"budget": 1, "seed": 0, "max_hidden_enum": 0})
 
     train = sub.add_parser("train-lu", help="train toward the anti-diagonal target on the LU pattern")
     train.add_argument("--d", type=int, help="matrix dimension")
@@ -78,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True, help="output directory for trace CSVs")
     train.add_argument("--paper-scale", action="store_true",
                        help="d=100, 1e5 samples, batch 3000 (minutes instead of seconds)")
+    train.set_defaults(handler=cmd_train_lu, bounds={})
 
     gen = sub.add_parser("gen-dataset", help="grid dataset labeled by an unattainable linear target")
     gen.add_argument("--pattern", required=True, help="pattern JSON file")
@@ -86,10 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON matrix of rational strings to use as the target")
     gen.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
     gen.add_argument("--out", required=True, help="output prefix (.csv and .json are appended)")
+    gen.set_defaults(handler=cmd_gen_dataset, bounds={"point_cap": 1, "p": 1})
 
     emit = sub.add_parser("emit-smt", help="write the closedness sentence for a pattern")
     emit.add_argument("--pattern", required=True)
     emit.add_argument("--out", required=True)
+    emit.set_defaults(handler=cmd_emit_smt, bounds={})
 
     project = sub.add_parser("project", help="Fourier-Motzkin projection of a polyhedron file")
     project.add_argument("--input", required=True, help="polyhedron JSON file")
@@ -98,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     project.add_argument("--out", required=True)
     project.add_argument("--row-cap", type=int, default=DEFAULT_ROW_CAP,
                          help="most rows one elimination may produce")
+    project.set_defaults(handler=cmd_project, bounds={"row_cap": 1})
     return parser
 
 
@@ -117,12 +122,6 @@ def _check_writable(*paths) -> None:
 
 
 def cmd_check(args) -> int:
-    if args.budget < 1:
-        raise ValueError(f"--budget must be positive, got {args.budget}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    if args.max_hidden_enum < 0:
-        raise ValueError(f"--max-hidden-enum must be non-negative, got {args.max_hidden_enum}")
     pattern = load_input(load_pattern, args.pattern)
     if args.out:
         _check_writable(args.out)
@@ -138,16 +137,9 @@ def cmd_check(args) -> int:
         "sentence_path": sentence_path,
     }
     if args.verify_witness and verdict.witness is not None:
-        import numpy as np
-
         from .infimum import infimum_oracle
 
-        result = infimum_oracle(
-            np.array(verdict.witness, dtype=float),
-            pattern,
-            budget=args.budget,
-            seed=args.seed,
-        )
+        result = infimum_oracle(verdict.witness, pattern, budget=args.budget, seed=args.seed)
         payload["witness_verification"] = {
             "distance": result.distance,
             "max_factor_norm": result.max_factor_norm,
@@ -189,10 +181,6 @@ def cmd_train_lu(args) -> int:
 
 
 def cmd_gen_dataset(args) -> int:
-    if args.point_cap < 1:
-        raise ValueError(f"--point-cap must be positive, got {args.point_cap}")
-    if args.p is not None and args.p < 1:
-        raise ValueError(f"--p must be positive, got {args.p}")
     pattern = load_input(load_pattern, args.pattern)
     if args.a is not None:
         rows = load_input(load_rows, args.a)
@@ -226,8 +214,6 @@ def cmd_emit_smt(args) -> int:
 
 
 def cmd_project(args) -> int:
-    if args.row_cap < 1:
-        raise ValueError(f"--row-cap must be positive, got {args.row_cap}")
     try:
         keep = [int(tok) - 1 for tok in args.keep.split(",") if tok.strip()]
     except ValueError:
@@ -246,15 +232,14 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handler = {
-        "check": cmd_check,
-        "train-lu": cmd_train_lu,
-        "gen-dataset": cmd_gen_dataset,
-        "emit-smt": cmd_emit_smt,
-        "project": cmd_project,
-    }[args.command]
     try:
-        return handler(args)
+        # each subcommand's lower bounds, refused before any input is read
+        for dest, low in args.bounds.items():
+            value = getattr(args, dest)
+            if value is not None and value < low:
+                kind = {0: "non-negative", 1: "positive"}[low]
+                raise ValueError(f"--{dest.replace('_', '-')} must be {kind}, got {value}")
+        return args.handler(args)
     except InputError as exc:
         failure, code = exc, EXIT_PARSE_ERROR
     except RowCapExceeded as exc:

@@ -163,17 +163,14 @@ def check_theorem5_conditions(
         )
     condition1 = pattern.is_full(1)
     verdicts = []
-    all_closed = True
     for size in range(1, n1 + 1):
         for subset in combinations(range(n1), size):
             v = closedness_verdict(compress_hidden(pattern, subset))
             verdicts.append(SubsetVerdict(hidden=subset, status=v.status, rule=v.rule))
-            if v.status is not Closedness.CLOSED:
-                all_closed = False
     return SufficiencyReport(
         condition1_full_output_mask=condition1,
         subset_verdicts=tuple(verdicts),
-        holds=condition1 and all_closed,
+        holds=condition1 and all(v.status is Closedness.CLOSED for v in verdicts),
     )
 
 

@@ -80,6 +80,8 @@ class Hyperplane:
             raise ValueError("a hyperplane needs a nonzero normal")
 
     def evaluate(self, point) -> Fraction:
+        if len(point) != len(self.normal):
+            raise ValueError(f"point has {len(point)} coordinates, the normal has {len(self.normal)}")
         return sum(w * as_fraction(x) for w, x in zip(self.normal, point)) + self.offset
 
 
@@ -134,6 +136,10 @@ def find_free_hypercube(planes, resolution: int, dimension: int):
     """
     if resolution < 1:
         raise ValueError("resolution must be positive")
+    if dimension < 1:
+        raise ValueError("dimension must be positive")
+    if any(len(plane.normal) != dimension for plane in planes):
+        raise ValueError(f"every plane's normal must have length {dimension}")
     p = resolution
     for idx in iter_product(range(p), repeat=dimension):
         base = tuple(Fraction(i, p) for i in idx)

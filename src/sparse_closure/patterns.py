@@ -160,6 +160,20 @@ def is_lu_pattern(pattern: SupportPattern) -> bool:
             and all(r <= c for r, c in upper) and all(r >= c for r, c in lower))
 
 
+def _hidden_subset(pattern: SupportPattern, hidden: Iterable[int], operation: str) -> list[int]:
+    """The distinct hidden neurons named by hidden, sorted; refused unless the
+    pattern has two layers and the subset is nonempty and inside range(N_1)."""
+    if pattern.depth != 2:
+        raise ValueError(f"hidden {operation} is defined for two-layer patterns")
+    kept = sorted(set(hidden))
+    if not kept:
+        raise ValueError("hidden subset must be nonempty")
+    n1 = pattern.dims[1]
+    if kept[0] < 0 or kept[-1] >= n1:
+        raise ValueError(f"hidden subset {kept} out of range for N_1={n1}")
+    return kept
+
+
 def restrict_to_hidden(pattern: SupportPattern, hidden: Iterable[int]) -> SupportPattern:
     """Keep only connections through the given hidden neurons (two-layer only).
 
@@ -167,14 +181,7 @@ def restrict_to_hidden(pattern: SupportPattern, hidden: Iterable[int]) -> Suppor
     row is outside the subset are dropped, as are pairs of the second mask
     whose column is outside; dims are unchanged.
     """
-    if pattern.depth != 2:
-        raise ValueError("hidden restriction is defined for two-layer patterns")
-    subset = frozenset(hidden)
-    if not subset:
-        raise ValueError("hidden subset must be nonempty")
-    n1 = pattern.dims[1]
-    if any(not (0 <= i < n1) for i in subset):
-        raise ValueError(f"hidden subset {sorted(subset)} out of range for N_1={n1}")
+    subset = frozenset(_hidden_subset(pattern, hidden, "restriction"))
     first = frozenset((r, c) for r, c in pattern.masks[0] if r in subset)
     second = frozenset((r, c) for r, c in pattern.masks[1] if c in subset)
     return SupportPattern(dims=pattern.dims, masks=(first, second))
@@ -187,11 +194,7 @@ def compress_hidden(pattern: SupportPattern, hidden: Sequence[int]) -> SupportPa
     no connection, so this is the step that lets the shallow closedness rules
     apply to sub-network patterns.
     """
-    if pattern.depth != 2:
-        raise ValueError("hidden compression is defined for two-layer patterns")
-    kept = sorted(set(hidden))
-    if not kept:
-        raise ValueError("hidden subset must be nonempty")
+    kept = _hidden_subset(pattern, hidden, "compression")
     index = {old: new for new, old in enumerate(kept)}
     first = frozenset((index[r], c) for r, c in pattern.masks[0] if r in index)
     second = frozenset((r, index[c]) for r, c in pattern.masks[1] if c in index)

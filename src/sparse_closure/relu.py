@@ -357,7 +357,8 @@ def normalize_first_layer(params: NetworkParams, bound: float) -> NetworkParams:
     """
     if params.pattern.depth != 2:
         raise ValueError("normalization is defined for two-layer networks")
-    if bound <= 0:
+    # NaN compares false, so it is refused with the non-positive bounds
+    if not bound > 0:
         raise ValueError("bound must be positive")
     out = params.copy()
     w1, b1 = out.weights[0], out.biases[0]

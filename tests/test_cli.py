@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -585,6 +586,40 @@ def test_gen_dataset_and_project_options_are_named_when_refused(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith(f"error: {option} must be")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+
+def subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+BOUNDS = [(command, dest, low) for command, sub in subcommands().items()
+          for dest, low in sub.get_default("bounds").items()]
+
+
+@pytest.mark.parametrize("command, dest, low", BOUNDS, ids=[f"{c}-{d}" for c, d, _ in BOUNDS])
+def test_every_declared_bound_refuses_the_value_below_it_before_any_input(tmp_path, monkeypatch, capsys,
+                                                                          command, dest, low):
+    def no_input(*args, **kwargs):
+        pytest.fail(f"an input was read before --{dest} was checked")
+
+    monkeypatch.setattr("sparse_closure.cli.load_input", no_input)
+    actions = subcommands()[command]._actions
+    required = [arg for a in actions if a.required for arg in (a.option_strings[0], str(tmp_path / a.dest))]
+    option = next(a.option_strings[0] for a in actions if a.dest == dest)
+    assert main([command, *required, option, str(low - 1)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must be")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_declared_bounds_name_options_of_their_subcommand():
+    # main reads each key with getattr, and words a bound of 0 or 1 only
+    for command, sub in subcommands().items():
+        bounds = sub.get_default("bounds")
+        assert set(bounds) <= {a.dest for a in sub._actions}, command
+        assert set(bounds.values()) <= {0, 1}, command
 
 
 def test_zero_max_hidden_enum_skips_the_enumeration(lu2_file, capsys):

@@ -166,6 +166,15 @@ class TestEdgeIntersects:
         with pytest.raises(ValueError, match="axis"):
             edge_intersects(hyperplane([1], 0), (Fraction(0),), 1, 3)
 
+    def test_point_of_another_dimension_refused(self):
+        # zip would evaluate x1 + x2 - 3/2 on the prefix (1,), giving -1/2
+        plane = hyperplane([1, 1], Fraction(-3, 2))
+        with pytest.raises(ValueError, match="point has 1 coordinates, the normal has 2"):
+            plane.evaluate((Fraction(1),))
+        with pytest.raises(ValueError, match="point has 1 coordinates, the normal has 2"):
+            edge_intersects(plane, (Fraction(0),), 0, 3)
+        assert plane.evaluate((Fraction(1), Fraction(1, 2))) == 0
+
 
 class TestFreeHypercube:
     def test_one_dimensional_first_free_base(self):
@@ -193,6 +202,22 @@ class TestFreeHypercube:
         plane = hyperplane([1], Fraction(-1, 2))
         with pytest.raises(FreeCubeNotFound):
             find_free_hypercube([plane], 1, 1)
+
+    def test_dimension_below_one_refused(self):
+        # as Grid refuses it; the scan over range(p)^0 would return the empty base
+        plane = hyperplane([1, 1], Fraction(-3, 2))
+        for dimension in (0, -1):
+            with pytest.raises(ValueError, match="dimension must be positive"):
+                find_free_hypercube([plane], 4, dimension)
+            with pytest.raises(ValueError, match="dimension must be positive"):
+                Grid(resolution=4, dimension=dimension)
+
+    def test_planes_of_another_dimension_refused(self):
+        planes = [hyperplane([1], Fraction(-1, 2)), hyperplane([1, 1], Fraction(-3, 2))]
+        with pytest.raises(ValueError, match="normal must have length 1"):
+            find_free_hypercube(planes, 6, 1)
+        with pytest.raises(ValueError, match="normal must have length 3"):
+            find_free_hypercube(planes[1:], 9, 3)
 
     def test_counting_bound_violation_raises(self, monkeypatch):
         # at the guaranteed resolution a free cube must exist; a missing one is

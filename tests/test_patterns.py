@@ -282,3 +282,13 @@ class TestCompressHidden:
                 row_old = {c for r, c in restricted.masks[0] if r == old_r}
                 row_new = {c for r, c in compressed.masks[0] if r == new_r}
                 assert row_old == row_new
+
+    @pytest.mark.parametrize("hidden", [[5], [-1], [0, 2]], ids=["past-the-end", "negative", "one-of-two"])
+    def test_out_of_range_subset_refused_as_restriction_refuses_it(self, hidden):
+        # one owner of the subset rules: an index outside range(N_1) names no neuron
+        pattern = lu_pattern(2)
+        with pytest.raises(ValueError, match="out of range for N_1=2") as restricted:
+            restrict_to_hidden(pattern, hidden)
+        with pytest.raises(ValueError, match="out of range for N_1=2") as compressed:
+            compress_hidden(pattern, hidden)
+        assert str(compressed.value) == str(restricted.value)

@@ -515,6 +515,24 @@ class TestNormalizeFirstLayer:
             denom = np.maximum(np.linalg.norm(a, axis=0), 1.0)
             assert np.all(np.linalg.norm(a - b, axis=0) / denom <= 1e-9)
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+    def test_non_positive_or_nan_bound_refused(self, bound):
+        params = single_neuron_params(1.0, 0.5, 2.0, 0.0)
+        with pytest.raises(ValueError, match="bound must be positive"):
+            normalize_first_layer(params, bound=bound)
+
+    def test_infinite_bound_keeps_the_realization_everywhere(self):
+        # no bias saturates, so equality holds off any bounded domain too
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            params = random_two_layer_params(rng, max_dim=5)
+            params.biases[0][:] = 40.0 * rng.choice([-1, 1], size=params.pattern.dims[1])
+            result = normalize_first_layer(params, bound=float("inf"))
+            xs = rng.uniform(-100.0, 100.0, size=(params.pattern.input_dim, 500))
+            a, b = forward(params, xs), forward(result, xs)
+            denom = np.maximum(np.linalg.norm(a, axis=0), 1.0)
+            assert np.all(np.linalg.norm(a - b, axis=0) / denom <= 1e-9)
+
     def test_supports_preserved(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
