@@ -9,7 +9,7 @@ call here writes a file.  Membership tests are exact rational, never float.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -124,8 +124,8 @@ class SufficiencyReport:
     """
 
     condition1_full_output_mask: bool
-    subset_verdicts: tuple[SubsetVerdict, ...] = field(default_factory=tuple)
-    holds: bool = False
+    subset_verdicts: tuple[SubsetVerdict, ...]
+    holds: bool
 
     def to_json(self) -> dict:
         return {

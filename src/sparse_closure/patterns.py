@@ -272,9 +272,6 @@ def masked_factors(pattern: SupportPattern, arrays: Sequence[np.ndarray]) -> Spa
     return SparseFactors(pattern=pattern, factors=cleaned)
 
 
-def random_factors(pattern: SupportPattern, rng: np.random.Generator, scale: float = 1.0) -> SparseFactors:
-    arrays = [
-        rng.uniform(-scale, scale, size=pattern.layer_shape(i))
-        for i in range(pattern.depth)
-    ]
+def random_factors(pattern: SupportPattern, rng: np.random.Generator) -> SparseFactors:
+    arrays = [rng.uniform(-1.0, 1.0, size=pattern.layer_shape(i)) for i in range(pattern.depth)]
     return masked_factors(pattern, arrays)

@@ -4,12 +4,16 @@ The emitted file asks, over nonlinear real arithmetic: is there a target
 matrix that masked products approximate to arbitrary precision but never
 reach?  sat means the set is not closed.  Deciding the sentence is the
 external solver's problem; no termination promise is made (or possible) here.
+
+Variables (indices 1-based, layers l counted from the input): a_<i>_<j> is
+the declared target entry (i, j); x<l>_<r>_<c> is the universally bound copy
+of entry (r, c) of factor l, y<l>_<r>_<c> its existential copy; eps is epsilon.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .patterns import SupportPattern
@@ -47,53 +51,54 @@ def monomial_count(pattern: SupportPattern) -> int:
     return sum(paths.values())
 
 
+def _targets(pattern: SupportPattern) -> dict[tuple[int, int], str]:
+    rows, cols = range(pattern.output_dim), range(pattern.input_dim)
+    return {(i, j): f"a_{i + 1}_{j + 1}" for i in rows for j in cols}
+
+
+def _factor_names(pattern: SupportPattern, prefix: str) -> list[dict[tuple[int, int], str]]:
+    return [
+        {(r, c): f"{prefix}{layer}_{r + 1}_{c + 1}" for r, c in sorted(mask)}
+        for layer, mask in enumerate(pattern.masks, 1)
+    ]
+
+
 def _product_monomials(pattern: SupportPattern, prefix: str) -> dict[tuple[int, int], list[tuple[str, ...]]]:
     """Entry (i, j) of the masked product as a list of variable-name monomials.
 
-    Layer-by-layer expansion: a monomial is one nonzero path through the
-    factors, one variable per layer.
+    A monomial is one nonzero path through the factors, one variable per
+    layer.  Paths grow layer by layer, grouped by the node they end at.
     """
-    entries: dict[tuple[int, int], list[tuple[str, ...]]] = {}
-    for (r, c) in sorted(pattern.masks[0]):
-        entries.setdefault((r, c), []).append((f"{prefix}1_{r + 1}_{c + 1}",))
-    for layer in range(1, pattern.depth):
-        nxt: dict[tuple[int, int], list[tuple[str, ...]]] = {}
-        for (r, k) in sorted(pattern.masks[layer]):
-            var = f"{prefix}{layer + 1}_{r + 1}_{k + 1}"
-            for (kr, c), monos in entries.items():
-                if kr != k:
-                    continue
-                bucket = nxt.setdefault((r, c), [])
-                for mono in monos:
-                    bucket.append(mono + (var,))
-        entries = nxt
-    return entries
+    ends = {j: {j: [()]} for j in range(pattern.input_dim)}
+    for layer in _factor_names(pattern, prefix):
+        nxt = defaultdict(lambda: defaultdict(list))
+        for (r, k), var in layer.items():
+            for j, monos in ends.get(k, {}).items():
+                nxt[r][j] += [mono + (var,) for mono in monos]
+        ends = nxt
+    return {(i, j): monos for i, starts in ends.items() for j, monos in starts.items()}
 
 
-def _squared_error_sexpr(pattern: SupportPattern, prefix: str) -> str:
-    """(sum over all target entries of (a_ij - product_ij)^2) as an s-expression."""
+def _sum(terms, op: str = "+") -> str:
+    """(+ t1 t2 ...), or the one term alone; op="*" renders a product alike."""
+    return terms[0] if len(terms) == 1 else f"({op} {' '.join(terms)})"
+
+
+def _polynomial(pattern: SupportPattern, prefix: str) -> tuple[list[str], str]:
+    """One copy's binder variables and its squared error sum((a_ij - product_ij)^2)."""
     monos = _product_monomials(pattern, prefix)
-    terms = []
-    for i in range(pattern.output_dim):
-        for j in range(pattern.input_dim):
-            a = f"a_{i + 1}_{j + 1}"
-            entry = monos.get((i, j), [])
-            if not entry:
-                diff = a
-            else:
-                prods = [m[0] if len(m) == 1 else "(* " + " ".join(m) + ")" for m in entry]
-                total = prods[0] if len(prods) == 1 else "(+ " + " ".join(prods) + ")"
-                diff = f"(- {a} {total})"
-            terms.append(f"(* {diff} {diff})")
-    return terms[0] if len(terms) == 1 else "(+ " + " ".join(terms) + ")"
+    diffs = [
+        f"(- {a} {_sum([_sum(m, '*') for m in monos[entry]])})" if entry in monos else a
+        for entry, a in _targets(pattern).items()
+    ]
+    variables = [v for layer in _factor_names(pattern, prefix) for v in layer.values()]
+    return variables, _sum([f"(* {d} {d})" for d in diffs])
 
 
-def _factor_vars(pattern: SupportPattern, prefix: str) -> list[str]:
-    out = []
-    for layer, mask in enumerate(pattern.masks):
-        for (r, c) in sorted(mask):
-            out.append(f"{prefix}{layer + 1}_{r + 1}_{c + 1}")
-    return out
+def _bind(quantifier: str, variables: list[str], body: str) -> str:
+    """(quantifier ((v Real) ...) body), or body alone: SMT-LIB has no empty binder."""
+    binder = " ".join(f"({v} Real)" for v in variables)
+    return f"({quantifier} ({binder}) {body})" if variables else body
 
 
 def emit_qe_sentence(pattern: SupportPattern, out_path) -> QeSentenceStats:
@@ -109,41 +114,21 @@ def emit_qe_sentence(pattern: SupportPattern, out_path) -> QeSentenceStats:
         raise ValueError(
             f"the sentence would hold more than {SENTENCE_CAP} variables or product monomials"
         )
-    a_vars = [
-        f"a_{i + 1}_{j + 1}"
-        for i in range(pattern.output_dim)
-        for j in range(pattern.input_dim)
-    ]
-    x_vars = _factor_vars(pattern, "x")
-    y_vars = _factor_vars(pattern, "y")
-    p_forall = _squared_error_sexpr(pattern, "x")
-    p_exists = _squared_error_sexpr(pattern, "y")
-
-    lines = [
+    x_vars, p_forall = _polynomial(pattern, "x")
+    y_vars, p_exists = _polynomial(pattern, "y")
+    exists = _bind("exists", y_vars, f"(< (- {p_exists} eps) 0)")
+    text = "\n".join([
         "; closedness probe for a masked factorization set",
         "; sat: some target is approximable to arbitrary precision by masked",
         "; products yet never attained, so the set is not closed",
         "(set-logic NRA)",
-    ]
-    for v in a_vars:
-        lines.append(f"(declare-const {v} Real)")
-    if x_vars:
-        binder = " ".join(f"({v} Real)" for v in x_vars)
-        lines.append(f"(assert (forall ({binder}) (> {p_forall} 0)))")
-    else:
-        lines.append(f"(assert (> {p_forall} 0))")
-    if y_vars:
-        inner_binder = " ".join(f"({v} Real)" for v in y_vars)
-        inner = f"(exists ({inner_binder}) (< (- {p_exists} eps) 0))"
-    else:
-        inner = f"(< (- {p_exists} eps) 0)"
-    lines.append(f"(assert (forall ((eps Real)) (=> (> eps 0) {inner})))")
-    lines.append("(check-sat)")
-    text = "\n".join(lines) + "\n"
-
+        *(f"(declare-const {a} Real)" for a in _targets(pattern).values()),
+        f"(assert {_bind('forall', x_vars, f'(> {p_forall} 0)')})",
+        f"(assert {_bind('forall', ['eps'], f'(=> (> eps 0) {exists})')})",
+        "(check-sat)",
+    ]) + "\n"
     with open(out_path, "w") as fh:
         fh.write(text)
-
     stats = QeSentenceStats(
         num_polynomials=2,
         max_degree=2 * pattern.depth,

@@ -61,6 +61,110 @@ def formula_count(pattern: SupportPattern) -> int:
     )
 
 
+def reference_sentence(pattern: SupportPattern) -> str:
+    """The sentence as an earlier, separately written builder spelled it:
+    its first layer had a loop of its own, every later layer scanned all
+    partial entries for each mask entry, and the binders were listed apart."""
+
+    def product_monomials(prefix):
+        entries = {}
+        for (r, c) in sorted(pattern.masks[0]):
+            entries.setdefault((r, c), []).append((f"{prefix}1_{r + 1}_{c + 1}",))
+        for layer in range(1, pattern.depth):
+            nxt = {}
+            for (r, k) in sorted(pattern.masks[layer]):
+                var = f"{prefix}{layer + 1}_{r + 1}_{k + 1}"
+                for (kr, c), monos in entries.items():
+                    if kr != k:
+                        continue
+                    bucket = nxt.setdefault((r, c), [])
+                    for mono in monos:
+                        bucket.append(mono + (var,))
+            entries = nxt
+        return entries
+
+    def squared_error(prefix):
+        monos = product_monomials(prefix)
+        terms = []
+        for i in range(pattern.output_dim):
+            for j in range(pattern.input_dim):
+                a = f"a_{i + 1}_{j + 1}"
+                entry = monos.get((i, j), [])
+                if not entry:
+                    diff = a
+                else:
+                    prods = [m[0] if len(m) == 1 else "(* " + " ".join(m) + ")" for m in entry]
+                    total = prods[0] if len(prods) == 1 else "(+ " + " ".join(prods) + ")"
+                    diff = f"(- {a} {total})"
+                terms.append(f"(* {diff} {diff})")
+        return terms[0] if len(terms) == 1 else "(+ " + " ".join(terms) + ")"
+
+    def factor_vars(prefix):
+        out = []
+        for layer, mask in enumerate(pattern.masks):
+            for (r, c) in sorted(mask):
+                out.append(f"{prefix}{layer + 1}_{r + 1}_{c + 1}")
+        return out
+
+    a_vars = [
+        f"a_{i + 1}_{j + 1}"
+        for i in range(pattern.output_dim)
+        for j in range(pattern.input_dim)
+    ]
+    x_vars = factor_vars("x")
+    y_vars = factor_vars("y")
+    p_forall = squared_error("x")
+    p_exists = squared_error("y")
+    lines = [
+        "; closedness probe for a masked factorization set",
+        "; sat: some target is approximable to arbitrary precision by masked",
+        "; products yet never attained, so the set is not closed",
+        "(set-logic NRA)",
+    ]
+    for v in a_vars:
+        lines.append(f"(declare-const {v} Real)")
+    if x_vars:
+        binder = " ".join(f"({v} Real)" for v in x_vars)
+        lines.append(f"(assert (forall ({binder}) (> {p_forall} 0)))")
+    else:
+        lines.append(f"(assert (> {p_forall} 0))")
+    if y_vars:
+        inner_binder = " ".join(f"({v} Real)" for v in y_vars)
+        inner = f"(exists ({inner_binder}) (< (- {p_exists} eps) 0))"
+    else:
+        inner = f"(< (- {p_exists} eps) 0)"
+    lines.append(f"(assert (forall ((eps Real)) (=> (> eps 0) {inner})))")
+    lines.append("(check-sat)")
+    return "\n".join(lines) + "\n"
+
+
+def first_difference(text: str, reference: str):
+    """None when the texts are equal, else the first differing offset with
+    some context; a plain == on megabyte sentences makes pytest's failure
+    report take a minute."""
+    if text == reference:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(text, reference)) if a != b), min(len(text), len(reference)))
+    return at, text[max(0, at - 40) : at + 40], reference[max(0, at - 40) : at + 40]
+
+
+def reference_panel():
+    """520 seeded patterns: depth 1-4, dims 1-5, mask density drawn from
+    [0, 1], every tenth pattern with all masks empty."""
+    rng = np.random.default_rng(21)
+    for k in range(520):
+        depth = int(rng.integers(1, 5))
+        dims = tuple(int(rng.integers(1, 6)) for _ in range(depth + 1))
+        density = 0.0 if k % 10 == 0 else float(rng.uniform(0.0, 1.0))
+        masks = tuple(
+            frozenset(
+                (r, c) for r in range(dims[i + 1]) for c in range(dims[i]) if rng.random() < density
+            )
+            for i in range(depth)
+        )
+        yield SupportPattern(dims=dims, masks=masks)
+
+
 def random_pattern(rng, max_depth=3, max_dim=4):
     depth = int(rng.integers(1, max_depth + 1))
     dims = tuple(int(rng.integers(1, max_dim + 1)) for _ in range(depth + 1))
@@ -171,3 +275,48 @@ class TestEmission:
                         env[f"x{layer + 1}_{r + 1}_{c + 1}"] = mat[r, c]
                 expected = float(np.sum((a - product(factors)) ** 2))
                 assert evaluate_sexpr(p_expr, env) == pytest.approx(expected, rel=1e-12)
+
+
+class TestReferenceSentence:
+    def test_panel_matches_the_reference_byte_for_byte(self, tmp_path):
+        path = tmp_path / "panel.smt2"
+        panel = list(reference_panel())
+        assert {p.depth for p in panel} == {1, 2, 3, 4}
+        assert {d for p in panel for d in p.dims} == {1, 2, 3, 4, 5}
+        assert any(not any(p.masks) for p in panel)
+        assert any(all(p.is_full(i) for i in range(p.depth)) for p in panel if p.depth > 1)
+        for pattern in panel:
+            emit_qe_sentence(pattern, path)
+            assert first_difference(path.read_text(), reference_sentence(pattern)) is None, pattern
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [lu_pattern(d) for d in range(2, 9)] + [dense_pattern((6, 6, 6, 6)), dense_pattern((4, 8, 8, 8, 4))],
+        ids=[f"lu{d}" for d in range(2, 9)] + ["dense6666", "dense48884"],
+    )
+    def test_named_patterns_match_the_reference_byte_for_byte(self, pattern, tmp_path):
+        path = tmp_path / "named.smt2"
+        emit_qe_sentence(pattern, path)
+        assert first_difference(path.read_text(), reference_sentence(pattern)) is None
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize(
+        "dims",
+        [(100, 100), (1, 30, 30, 30, 1)],
+        ids=["over-variable-cap", "over-monomial-cap"],
+    )
+    def test_cap_refuses_before_the_builder_runs(self, dims, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the sentence builder ran past the cap")
+
+        monkeypatch.setattr(smt, "_polynomial", fail)
+        monkeypatch.setattr(smt, "_product_monomials", fail)
+        pattern = dense_pattern(dims)
+        over_variables = expected_variable_count(pattern) > smt.SENTENCE_CAP
+        over_monomials = smt.monomial_count(pattern) > smt.SENTENCE_CAP
+        assert over_variables != over_monomials  # each case trips exactly one cap
+        path = tmp_path / "capped.smt2"
+        with pytest.raises(ValueError, match="more than 10000"):
+            emit_qe_sentence(pattern, path)
+        assert not path.exists()
