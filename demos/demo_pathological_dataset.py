@@ -50,6 +50,7 @@ resolution = 3 * 2 * len(planes)
 base = find_free_hypercube(planes, resolution, 2)
 print(f"  2 hyperplanes, resolution {resolution}: free cube at base "
       f"{tuple(map(str, base))}")
-print(f"  exhaustive re-verification: {cube_is_free(planes, base, resolution)}")
+print(f"  re-checked, each plane has one strict sign on the cube's vertices: "
+      f"{cube_is_free(planes, base, resolution)}")
 print("  (no edge of that elementary cube meets any of the hyperplanes, so a")
 print("  piecewise-linear function with those boundaries is affine on it)")

@@ -89,6 +89,22 @@ def hyperplane(normal, offset) -> Hyperplane:
     return Hyperplane(normal=vector(normal), offset=as_fraction(offset))
 
 
+def _box_is_cut(planes, base, axes, resolution: int) -> bool:
+    """Does a plane meet the box base + [0, 1/p] e_i (i in axes) without
+    containing it?  On the box, p times its value spans p f(base) + [sum of
+    its negative, sum of its positive normal entries on axes]: the plane
+    meets the box iff that range holds 0, and contains it iff it is {0}."""
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
+    for plane in planes:
+        scaled = plane.evaluate(base) * resolution
+        steps = [plane.normal[i] for i in axes]
+        low, high = scaled + sum(min(c, 0) for c in steps), scaled + sum(max(c, 0) for c in steps)
+        if low <= 0 <= high and low != high:
+            return True
+    return False
+
+
 def edge_intersects(plane: Hyperplane, base, axis: int, resolution: int) -> bool:
     """Does the plane cross the grid edge from base to base + e_axis/p?
 
@@ -99,32 +115,14 @@ def edge_intersects(plane: Hyperplane, base, axis: int, resolution: int) -> bool
     n = len(plane.normal)
     if not (0 <= axis < n):
         raise ValueError(f"axis {axis} out of range for dimension {n}")
-    v0 = plane.evaluate(base)
-    v1 = v0 + plane.normal[axis] * Fraction(1, resolution)
-    return v0 * v1 <= 0 and not (v0 == 0 and v1 == 0)
-
-
-def cube_edges(base, resolution: int):
-    """Yield (endpoint, axis) for all N * 2^(N-1) edges of the elementary cube
-    with the given base corner (each edge runs from endpoint along axis)."""
-    n = len(base)
-    step = Fraction(1, resolution)
-    for axis in range(n):
-        others = [i for i in range(n) if i != axis]
-        for bits in iter_product((0, 1), repeat=n - 1):
-            vertex = list(base)
-            for i, bit in zip(others, bits):
-                vertex[i] += bit * step
-            yield tuple(vertex), axis
+    return _box_is_cut([plane], base, [axis], resolution)
 
 
 def cube_is_free(planes, base, resolution: int) -> bool:
-    """Exhaustive check: no edge of the cube at base intersects any plane."""
-    for vertex, axis in cube_edges(base, resolution):
-        for plane in planes:
-            if edge_intersects(plane, vertex, axis, resolution):
-                return False
-    return True
+    """No plane cuts the cube at base: each plane's range over its vertices
+    lies strictly on one side of 0 (a nonzero normal makes it no single
+    value), which is the answer edge_intersects gives on every edge."""
+    return not _box_is_cut(planes, base, range(len(base)), resolution)
 
 
 def find_free_hypercube(planes, resolution: int, dimension: int):
@@ -141,8 +139,7 @@ def find_free_hypercube(planes, resolution: int, dimension: int):
     if any(len(plane.normal) != dimension for plane in planes):
         raise ValueError(f"every plane's normal must have length {dimension}")
     p = resolution
-    for idx in iter_product(range(p), repeat=dimension):
-        base = tuple(Fraction(i, p) for i in idx)
+    for base in iter_product([Fraction(i, p) for i in range(p)], repeat=dimension):
         if cube_is_free(planes, base, p):
             return base
     guaranteed = 3 * dimension * len(planes)

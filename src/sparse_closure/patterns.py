@@ -41,7 +41,9 @@ class SupportPattern:
             raise ValueError(
                 f"{len(self.dims)} dims require {len(self.dims) - 1} masks, got {len(self.masks)}"
             )
+        convert = type(self.dims) is not tuple or type(self.masks) is not tuple
         for i, mask in enumerate(self.masks):
+            convert |= type(mask) is not frozenset
             n_rows, n_cols = self.dims[i + 1], self.dims[i]
             for r, c in mask:
                 if not (0 <= r < n_rows and 0 <= c < n_cols):
@@ -49,6 +51,9 @@ class SupportPattern:
                         f"mask {i + 1} entry ({r + 1},{c + 1}) is outside its "
                         f"{n_rows}x{n_cols} layer (1-based bounds)"
                     )
+        if convert:  # pair counts need distinct pairs, so each mask becomes a frozenset
+            object.__setattr__(self, "dims", tuple(self.dims))
+            object.__setattr__(self, "masks", tuple(frozenset(map(tuple, m)) for m in self.masks))
 
     @property
     def depth(self) -> int:
@@ -128,7 +133,6 @@ def full_mask(n_rows: int, n_cols: int) -> Mask:
 
 
 def dense_pattern(dims: Sequence[int]) -> SupportPattern:
-    dims = tuple(dims)
     masks = tuple(full_mask(dims[i + 1], dims[i]) for i in range(len(dims) - 1))
     return SupportPattern(dims=dims, masks=masks)
 
@@ -150,10 +154,8 @@ def is_lu_pattern(pattern: SupportPattern) -> bool:
     """pattern == lu_pattern(d), without building it: masks hold distinct
     in-bounds pairs, so d(d+1)/2 pairs on or above (below) the diagonal
     are the whole upper (lower) triangle."""
-    if pattern.depth != 2:
-        return False
     d = pattern.dims[0]
-    if pattern.dims != (d, d, d):
+    if pattern.dims != (d, d, d):  # so two layers
         return False
     upper, lower = pattern.masks
     return (len(upper) == d * (d + 1) // 2 == len(lower)

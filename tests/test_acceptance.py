@@ -10,12 +10,13 @@ import json
 import time
 from fractions import Fraction
 
+import edge_walk
 import numpy as np
 import pytest
 
 from sparse_closure.cli import main as cli_main
 from sparse_closure.closure import closure_gap_witness_lu, lu_membership
-from sparse_closure.datasets import cube_is_free, find_free_hypercube, hyperplane
+from sparse_closure.datasets import find_free_hypercube, hyperplane
 from sparse_closure.infimum import infimum_oracle
 from sparse_closure.patterns import (
     SupportPattern,
@@ -285,7 +286,7 @@ def test_criterion_5_free_hypercube_lemma():
                 )
         resolution = 3 * dim * num_planes
         base = find_free_hypercube(planes, resolution, dim)
-        assert cube_is_free(planes, base, resolution)
+        assert edge_walk.cube_is_free(planes, base, resolution)
         successes += 1
     ok = successes == 100
     report(5, ok, f"{successes}/100 instances produced a verified free cube")

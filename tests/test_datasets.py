@@ -7,6 +7,7 @@ from itertools import product as iter_product
 from math import lcm
 from operator import mul
 
+import edge_walk
 import numpy as np
 import pytest
 
@@ -19,7 +20,6 @@ from sparse_closure.datasets import (
     LabeledDataset,
     TooManyPoints,
     build_bad_dataset,
-    cube_edges,
     cube_is_free,
     dataset_resolution,
     edge_intersects,
@@ -229,7 +229,7 @@ class TestFreeHypercube:
 
     def test_edge_count_per_cube(self):
         base = (Fraction(0), Fraction(0), Fraction(0))
-        assert sum(1 for _ in cube_edges(base, 2)) == 3 * 2**2
+        assert sum(1 for _ in edge_walk.cube_edges(base, 2)) == 3 * 2**2
 
     def test_at_most_two_intersecting_edges_per_grid_line(self):
         # counting bound behind the resolution guarantee
@@ -249,6 +249,72 @@ class TestFreeHypercube:
                         if edge_intersects(plane, tuple(point), axis, p):
                             count += 1
                     assert count <= 2
+
+
+def grid_plane(rng, dim, p):
+    """A plane with a small integer normal through a point of the half-step
+    grid {0, 1/2p, ..., 1}^dim, so that it passes through cube vertices,
+    edge midpoints and face centres, and (axis-aligned) contains faces."""
+    while True:
+        normal = [int(c) for c in rng.integers(-2, 3, size=dim)]
+        if any(normal):
+            break
+    point = [Fraction(int(k), 2 * p) for k in rng.integers(0, 2 * p + 1, size=dim)]
+    return hyperplane(normal, -sum(c * x for c, x in zip(normal, point)))
+
+
+def grid_instance(rng):
+    dim, p = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+    return [grid_plane(rng, dim, p) for _ in range(int(rng.integers(1, 4)))], p, dim
+
+
+class TestRangeTestMatchesEdgeWalk:
+    """cube_is_free asks once per plane whether its range over the cube's
+    vertices holds 0; the edge walk of edge_walk.py asks every edge.  They
+    agree:
+    - the cube's edge graph is connected;
+    - a nonzero normal cannot vanish on every vertex;
+    - so, unless all vertices share one strict sign, some edge either
+      changes sign or joins a zero vertex to a nonzero one.
+    """
+
+    def test_cube_verdicts_match_on_a_seeded_panel(self):
+        rng = np.random.default_rng(22)
+        cut = 0
+        for _ in range(10_000):
+            planes, p, dim = grid_instance(rng)
+            base = tuple(Fraction(int(i), p) for i in rng.integers(0, p, size=dim))
+            free = edge_walk.cube_is_free(planes, base, p)
+            assert cube_is_free(planes, base, p) is free, (planes, base, p)
+            cut += not free
+        # both verdicts are well represented, so the panel is not vacuous
+        assert 2_000 < cut < 8_000
+
+    def test_search_returns_the_reference_scan_base(self):
+        rng = np.random.default_rng(23)
+        found = 0
+        for _ in range(1_000):
+            planes, p, dim = grid_instance(rng)
+            expected = edge_walk.first_free_base(planes, p, dim)
+            if expected is None:
+                with pytest.raises(FreeCubeNotFound):
+                    find_free_hypercube(planes, p, dim)
+            else:
+                assert find_free_hypercube(planes, p, dim) == expected, (planes, p, dim)
+                found += 1
+        assert 200 < found < 900
+
+    def test_resolution_below_one_refused(self):
+        # at -3 the cube on the other side of base would be tested: the plane
+        # x = 1/2 misses [0, 1/3] but cuts [1/3, 2/3], the cube at base 1/3
+        plane = hyperplane([1], Fraction(-1, 2))
+        base = (Fraction(1, 3),)
+        assert not cube_is_free([plane], base, 3)
+        for resolution in (0, -3):
+            with pytest.raises(ValueError, match="resolution must be positive"):
+                cube_is_free([plane], base, resolution)
+            with pytest.raises(ValueError, match="resolution must be positive"):
+                edge_intersects(plane, base, 0, resolution)
 
 
 class TestTheoreticalResolution:

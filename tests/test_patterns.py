@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 
 from sparse_closure import patterns
+from sparse_closure.closure import Closedness, closedness_verdict, closure_gap_witness_lu
 from sparse_closure.patterns import (
     SparseFactors,
     SupportPattern,
@@ -87,6 +88,34 @@ class TestValidatePattern:
         for _ in range(20):
             pattern = random_two_layer(rng)
             assert validate_pattern(pattern_to_json(pattern)) == pattern
+
+
+class TestMasksGivenAsLists:
+    # is_full and is_lu_pattern count mask pairs, so a repeated pair in a list
+    # mask once made lu(2) look dense and a rank-one pattern look like lu(2)
+    LU2 = [[(0, 0), (0, 1), (1, 1), (1, 1)], [(0, 0), (1, 0), (1, 1), (0, 0)]]
+    RANK_ONE = [[[0, 0], [0, 0], [0, 1]], [[0, 0], [1, 0], [1, 1]]]
+
+    @pytest.mark.parametrize("masks, status", [
+        (LU2, Closedness.NOT_CLOSED),
+        (RANK_ONE, Closedness.UNKNOWN),
+    ], ids=["lu2", "rank-one"])
+    def test_list_forms_equal_their_frozenset_forms(self, masks, status):
+        given = SupportPattern(dims=[2, 2, 2], masks=masks)
+        frozen = SupportPattern(dims=(2, 2, 2), masks=tuple(frozenset(map(tuple, m)) for m in masks))
+        assert given == frozen and hash(given) == hash(frozen)
+        assert given.dims == (2, 2, 2) and all(type(m) is frozenset for m in given.masks)
+        assert closedness_verdict(given) == closedness_verdict(frozen)
+        assert closedness_verdict(given).status is status
+
+    def test_lu2_gets_the_anti_diagonal_witness(self):
+        pattern = SupportPattern(dims=[2, 2, 2], masks=self.LU2)
+        assert pattern == lu_pattern(2)
+        assert closedness_verdict(pattern).witness == closure_gap_witness_lu(2)
+
+    def test_frozenset_masks_are_kept_as_given(self):
+        masks = lu_pattern(3).masks
+        assert SupportPattern(dims=(3, 3, 3), masks=masks).masks is masks
 
 
 class TestIsLuPattern:
