@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     project = sub.add_parser("project", help="Fourier-Motzkin projection of a polyhedron file")
     project.add_argument("--input", required=True, help="polyhedron JSON file")
     project.add_argument("--keep", required=True,
-                         help="comma-separated 1-based variable indices to keep")
+                         help="comma-separated 1-based variable indices to keep "
+                         "(sorted and deduplicated: 2,1 keeps what 1,2 keeps)")
     project.add_argument("--out", required=True)
     project.add_argument("--row-cap", type=int, default=DEFAULT_ROW_CAP,
                          help="most rows one elimination may produce")
@@ -146,13 +147,29 @@ def cmd_check(args) -> int:
             "budget": args.budget,
             "seed": args.seed,
         }
+    report = None
     if pattern.depth == 2 and pattern.dims[1] <= args.max_hidden_enum:
-        payload["sufficient_condition"] = check_theorem5_conditions(
-            pattern, max_hidden=args.max_hidden_enum
-        ).to_json()
-    else:
-        payload["sufficient_condition"] = None
+        report = check_theorem5_conditions(pattern, max_hidden=args.max_hidden_enum)
+    payload["sufficient_condition"] = None if report is None else {
+        "condition1_full_output_mask": report.condition1_full_output_mask,
+        "subsets": [],
+        "holds": report.holds,
+    }
     text = json.dumps(payload, indent=1)
+    if report is not None:
+        # json.dumps with indent runs its pure-Python encoder chunk by chunk, so the
+        # 2^N_1 - 1 subsets are laid out here as it would, from one tail per (status, rule)
+        labels = [str(i + 1) for i in range(pattern.dims[1])]
+
+        @functools.cache
+        def tail(status, rule):
+            fields = json.dumps({"status": status.value, "rule": rule}, indent=4)  # their depth
+            return "\n    ]," + fields[1:-2] + "\n   }"
+        subsets = ",\n   ".join(
+            '{\n    "hidden": [\n     ' + ",\n     ".join([labels[i] for i in sv.hidden])
+            + tail(sv.status, sv.rule) for sv in report.subset_verdicts)
+        head, _, rest = text.rpartition('"subsets": []')
+        text = f'{head}"subsets": [\n   {subsets}\n  ]{rest}'
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")

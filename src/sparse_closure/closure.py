@@ -127,20 +127,6 @@ class SufficiencyReport:
     subset_verdicts: tuple[SubsetVerdict, ...]
     holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "condition1_full_output_mask": self.condition1_full_output_mask,
-            "subsets": [
-                {
-                    "hidden": [i + 1 for i in sv.hidden],
-                    "status": sv.status.value,
-                    "rule": sv.rule,
-                }
-                for sv in self.subset_verdicts
-            ],
-            "holds": self.holds,
-        }
-
 
 def check_theorem5_conditions(
     pattern: SupportPattern, max_hidden: int = DEFAULT_MAX_HIDDEN

@@ -95,24 +95,30 @@ def validate_pattern(raw) -> SupportPattern:
 
     Expects {"dims": [N0, ..., NL], "masks": [[[r, c], ...], ...]} with
     1-based indices and masks listed from the first layer to the last.
-    Raises ValueError on out-of-bounds pairs, length mismatches or
-    non-positive dimensions.
+    Raises ValueError, naming the field, on a wrongly typed or shaped field,
+    out-of-bounds pairs, length mismatches or non-positive dimensions.
     """
     if not isinstance(raw, dict) or "dims" not in raw or "masks" not in raw:
         raise ValueError("pattern must be an object with 'dims' and 'masks'")
-    dims = tuple(raw["dims"])
+    dims, layers = raw["dims"], raw["masks"]
+    if not isinstance(dims, list):
+        raise ValueError(f"dims must be a list of positive integers, got {dims!r:.40}")
+    if not isinstance(layers, list):
+        raise ValueError(f"masks must be a list of masks, got {layers!r:.40}")
     masks = []
-    for layer in raw["masks"]:
+    for layer in layers:
         if not isinstance(layer, list):
             raise ValueError(f"each mask must be a list of [row, col] pairs, got {layer!r:.40}")
         pairs = set()
         for pair in layer:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"each mask entry must be a [row, col] pair, got {pair!r:.40}")
             r, c = pair
             if any(isinstance(i, bool) or not isinstance(i, int) or i < 1 for i in (r, c)):
                 raise ValueError(f"mask indices must be positive integers, got {pair}")
             pairs.add((r - 1, c - 1))
         masks.append(frozenset(pairs))
-    return SupportPattern(dims=dims, masks=tuple(masks))
+    return SupportPattern(dims=tuple(dims), masks=tuple(masks))
 
 
 def pattern_to_json(pattern: SupportPattern) -> dict:

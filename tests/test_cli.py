@@ -1,13 +1,36 @@
 import argparse
+import cProfile
+import hashlib
 import json
+import pstats
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from check_report import reference_report
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sparse_closure.cli import build_parser, main
-from sparse_closure.closure import DEFAULT_MAX_HIDDEN
+from sparse_closure import cli, infimum
+from sparse_closure.cli import EXIT_VERDICT, build_parser, main
+from sparse_closure.closure import (
+    DEFAULT_MAX_HIDDEN,
+    RULE_DENSE_RANK,
+    RULE_LU_GAP,
+    RULE_SCALAR_OUTPUT,
+    RULE_SINGLE_LAYER,
+    Closedness,
+    ClosednessVerdict,
+    SubsetVerdict,
+    SufficiencyReport,
+    check_theorem5_conditions,
+    closedness_verdict,
+)
 from sparse_closure.datasets import DEFAULT_POINT_CAP
 from sparse_closure.experiments import (
     ExperimentResult,
@@ -16,7 +39,7 @@ from sparse_closure.experiments import (
     run_single_seed,
     write_experiment,
 )
-from sparse_closure.patterns import dense_pattern, lu_pattern, pattern_to_json
+from sparse_closure.patterns import SupportPattern, dense_pattern, full_mask, lu_pattern, pattern_to_json
 from sparse_closure.smt import SENTENCE_CAP, count_variables
 
 
@@ -134,6 +157,115 @@ class TestCheck:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[]\n"
+
+
+RULES = [None, RULE_SINGLE_LAYER, RULE_SCALAR_OUTPUT, RULE_DENSE_RANK, RULE_LU_GAP]
+# JSON escapes, non-ASCII text and the key at which the writer splices the subsets
+AWKWARD_PATH = 'q"uo\\te \u00fc\u2211 "subsets": [].smt2'
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+witnesses = st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(st.fractions(max_denominator=9), min_size=width, max_size=width).map(tuple),
+    min_size=1, max_size=3).map(tuple))
+
+
+@st.composite
+def check_reports(draw):
+    """One `check` run: its options and what the stubbed verdict, witness
+    search and enumeration return."""
+    n1 = draw(st.integers(1, 5))
+    status_rule = st.tuples(st.sampled_from(Closedness), st.one_of(st.sampled_from(RULES), st.text(max_size=3)))
+    subsets = [SubsetVerdict(hidden, *draw(status_rule))
+               for size in range(1, n1 + 1) for hidden in combinations(range(n1), size)]
+    return SimpleNamespace(
+        n1=n1,
+        verdict=ClosednessVerdict(draw(st.sampled_from(Closedness)), draw(st.sampled_from(RULES)),
+                                  draw(st.none() | witnesses)),
+        report=SufficiencyReport(draw(st.booleans()), tuple(subsets), draw(st.booleans())),
+        # enumerated, or null because N1 is above the cap or the pattern is deeper
+        sufficient=draw(st.sampled_from(["enumerated", "capped", "deep"])),
+        emit=draw(st.none() | st.just(AWKWARD_PATH) | st.text(max_size=8)),
+        search=draw(st.none() | st.tuples(any_float, any_float, st.integers(1, 10**6), st.integers(0, 99))),
+    )
+
+
+class TestCheckReportWriter:
+    """`check` writes its subsets list from templates; stdout and --out must be
+    the bytes json.dumps(indent=1) gives for the whole report, plus a newline
+    in the file."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=check_reports())
+    def test_bytes_equal_the_reference(self, tmp_path, capsys, monkeypatch, case):
+        dims = [2, case.n1, 2] + [2] * (case.sufficient == "deep")
+        f = write_pattern(tmp_path / "p.json", dense_pattern(dims))
+        out = tmp_path / "verdict.json"
+        argv = ["check", "--pattern", f, "--out", str(out)]
+        if case.sufficient == "capped":
+            argv += ["--max-hidden-enum", str(case.n1 - 1)]
+        if case.emit is not None:
+            argv.append(f"--emit-smt={case.emit}")
+        verification = None
+        if case.search is not None:
+            distance, norm, budget, seed = case.search
+            argv += ["--verify-witness", "--budget", str(budget), "--seed", str(seed)]
+            if case.verdict.witness is not None:
+                verification = {"distance": distance, "max_factor_norm": norm, "budget": budget, "seed": seed}
+        with monkeypatch.context() as m:
+            m.setattr(cli, "closedness_verdict", lambda pattern: case.verdict)
+            m.setattr(cli, "check_theorem5_conditions", lambda pattern, max_hidden: case.report)
+            m.setattr(cli, "emit_qe_sentence", lambda pattern, path: None)
+            m.setattr(infimum, "infimum_oracle",
+                      lambda *args, **kwargs: SimpleNamespace(distance=distance, max_factor_norm=norm))
+            code = main(argv)
+        unknown = case.verdict.status is Closedness.UNKNOWN
+        expected = reference_report(
+            case.verdict,
+            sentence_path=case.emit if unknown else None,
+            verification=verification,
+            report=case.report if case.sufficient == "enumerated" else None,
+        ) + "\n"
+        assert code == EXIT_VERDICT[case.verdict.status]
+        assert capsys.readouterr().out == expected
+        assert out.read_bytes() == expected.encode()
+
+    def test_8191_subsets_hash_as_the_reference(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        dims = (5, 13, 3)
+        # dense enough that some subsets are dense and decided
+        masks = tuple(frozenset((r, c) for r in range(dims[i + 1]) for c in range(dims[i]) if rng.random() < 0.8)
+                      for i in range(2))
+        pattern = SupportPattern(dims, masks)
+        out = tmp_path / "verdict.json"
+        code = main(["check", "--pattern", write_pattern(tmp_path / "p.json", pattern), "--out", str(out)])
+        report = check_theorem5_conditions(pattern)
+        assert len(report.subset_verdicts) == 8191
+        assert len({(sv.status, sv.rule) for sv in report.subset_verdicts}) > 1
+        verdict = closedness_verdict(pattern)
+        expected = (reference_report(verdict, report=report) + "\n").encode()
+        assert code == EXIT_VERDICT[verdict.status]
+        sha = hashlib.sha256
+        assert sha(capsys.readouterr().out.encode()).hexdigest() == sha(expected).hexdigest()
+        assert sha(out.read_bytes()).hexdigest() == sha(expected).hexdigest()
+
+    def test_encoder_calls_do_not_grow_with_the_subsets(self, tmp_path, capsys):
+        # hidden unit 1 lacks one output connection: the subsets holding it
+        # are unknown, the others dense, at every N1
+        counts = []
+        for n1 in (8, 12):
+            pattern = SupportPattern((3, n1, 2), (full_mask(n1, 3), full_mask(2, n1) - {(0, 0)}))
+            profile = cProfile.Profile()
+            profile.runcall(main, ["check", "--pattern", write_pattern(tmp_path / "p.json", pattern)])
+            calls = Counter()
+            for (path, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
+                if Path(path).parent.name == "json" and name in ("dumps", "_iterencode_dict", "_iterencode_list"):
+                    calls[name] += ncalls
+            counts.append(calls)
+            subsets = json.loads(capsys.readouterr().out)["sufficient_condition"]["subsets"]
+            assert len(subsets) == 2**n1 - 1
+            pairs = {(sv["status"], sv["rule"]) for sv in subsets}
+        assert len(pairs) == 2
+        assert counts[0] == counts[1]
+        assert 1 <= counts[1]["dumps"] <= len(pairs) + 1
 
 
 class TestGenDataset:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from check_report import report_to_json
 
 from sparse_closure.closure import (
     Closedness,
@@ -127,7 +128,7 @@ class TestSufficientCondition:
 
     def test_json_round_trip_shape(self):
         report = check_theorem5_conditions(dense_pattern((2, 2, 1)))
-        data = report.to_json()
+        data = report_to_json(report)
         assert set(data) == {"condition1_full_output_mask", "subsets", "holds"}
         assert data["subsets"][0]["hidden"] == [1]  # 1-based externally
 

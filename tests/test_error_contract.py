@@ -163,6 +163,8 @@ def test_malformed_pattern_exits_3(tmp_path, capsys, argv, document):
     code, err = run(tmp_path, capsys, "pattern.json", document, argv)
     assert code == EXIT_PARSE_ERROR, (document, err)
     assert err.startswith("error: ")
+    # the message names the field, not a Python internal
+    assert "unpack" not in err and "not iterable" not in err, (document, err)
 
 
 @FUZZ

@@ -73,14 +73,20 @@ class TestValidatePattern:
         with pytest.raises(ValueError, match="positive"):
             validate_pattern({"dims": [2, 0], "masks": [[]]})
 
-    @pytest.mark.parametrize("raw", [
-        {"dims": [2, True, 2], "masks": [[[1, 1]], [[1, 1]]]},
-        {"dims": [2, 2], "masks": [[[True, 1]]]},
-        {"dims": [2, 2], "masks": [""]},
-        {"dims": [2, 2], "masks": [{}]},
-    ], ids=["bool-dim", "bool-index", "string-mask", "object-mask"])
-    def test_wrongly_typed_entries_rejected(self, raw):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("raw, match", [
+        ({"dims": [2, True, 2], "masks": [[[1, 1]], [[1, 1]]]}, "dimensions must be positive integers"),
+        ({"dims": [2, 2], "masks": [[[True, 1]]]}, "mask indices must be positive integers"),
+        ({"dims": [2, 2], "masks": [""]}, "each mask must be a list"),
+        ({"dims": [2, 2], "masks": [{}]}, "each mask must be a list"),
+        ({"dims": [2, 2], "masks": [[[1, 1, 1]]]}, r"each mask entry must be a \[row, col\] pair, got \[1, 1, 1\]"),
+        ({"dims": [2, 2], "masks": [[[1]]]}, r"each mask entry must be a \[row, col\] pair, got \[1\]"),
+        ({"dims": [2, 2], "masks": [[5]]}, r"each mask entry must be a \[row, col\] pair, got 5"),
+        ({"dims": 5, "masks": [[[1, 1]]]}, "dims must be a list of positive integers, got 5"),
+        ({"dims": [2, 2], "masks": 5}, "masks must be a list of masks, got 5"),
+    ], ids=["bool-dim", "bool-index", "string-mask", "object-mask", "long-pair", "short-pair", "scalar-pair",
+            "scalar-dims", "scalar-masks"])
+    def test_wrongly_typed_entries_rejected(self, raw, match):
+        with pytest.raises(ValueError, match=match):
             validate_pattern(raw)
 
     def test_json_round_trip(self):
