@@ -2,7 +2,8 @@
 
 A pattern fixes, per layer, which weight-matrix entries may be nonzero.
 Masks are stored as index-pair sets (0-based internally); the JSON wire
-format is 1-based and is converted exactly once, in the parser.
+format is 1-based and is converted exactly once, in the parser.  Only the
+float helpers import numpy, when they run, so exact callers never load it.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .rational import matmul, matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Mask = frozenset[tuple[int, int]]
 
@@ -75,6 +77,8 @@ class SupportPattern:
     def mask_arrays(self) -> tuple[np.ndarray, ...]:
         """Boolean mask matrix of each layer (True where entries may be
         nonzero), built on first use and read-only, so every caller shares it."""
+        import numpy as np
+
         arrays = tuple(np.zeros(self.layer_shape(i), dtype=bool) for i in range(self.depth))
         for out, mask in zip(arrays, self.masks):
             for r, c in mask:
@@ -236,6 +240,8 @@ class SparseFactors:
     def __post_init__(self):
         if len(self.factors) != self.pattern.depth:
             raise ValueError("one factor per layer required")
+        import numpy as np
+
         for i, f in enumerate(self.factors):
             # a rational factor becomes an object array; a ragged one is 1-d
             arr = f if isinstance(f, np.ndarray) else np.array(f, dtype=object)
@@ -268,6 +274,8 @@ def product(factors: SparseFactors):
 
     Rational inputs give an exact rational result; float inputs give float64.
     """
+    import numpy as np
+
     mats = list(factors.factors)
     if all(isinstance(m, np.ndarray) and m.dtype != object for m in mats):
         return chain_product(mats)
@@ -276,6 +284,8 @@ def product(factors: SparseFactors):
 
 def masked_factors(pattern: SupportPattern, arrays: Sequence[np.ndarray]) -> SparseFactors:
     """Zero off-mask entries of the given arrays and wrap as SparseFactors."""
+    import numpy as np
+
     cleaned = tuple(np.where(m, arr, 0.0) for m, arr in zip(pattern.mask_arrays, arrays))
     return SparseFactors(pattern=pattern, factors=cleaned)
 

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, starmap
+from itertools import compress, starmap
 
 from .rational import format_fraction, format_matrix, vector, matrix as rational_matrix
 
@@ -185,9 +185,12 @@ def _prune(poly: RationalPolyhedron) -> RationalPolyhedron:
     returned as they are.  The rows it keeps stay canonical, unique and sorted.
 
     Each row's sign support (one bit per positive column, one per negative
-    column) rules most tests out: a row scaled by lambda > 0 keeps every
-    sign, and la*a + lb*b = det*t with la, lb >= 0 and det > 0 needs each
-    sign of t in a or in b.  Only tests these bit sets allow are run.
+    column) rules most tests out.  A row scaled by lambda > 0 keeps every
+    sign.  A pair a, b is tested only where la*a + lb*b = det*t (det > 0)
+    can hold with la, lb > 0; with a zero multiplier it is a scaled row,
+    tested first.  Then t's signs fix b's sign on every column where a and
+    t share no nonzero sign (_partner_signs).  Only tests these bit sets
+    allow are run.
     """
     m = poly.num_rows
     if m <= 2 or m > PAIR_LIMIT:
@@ -200,10 +203,26 @@ def _prune(poly: RationalPolyhedron) -> RationalPolyhedron:
         st = signs[r]
         kept = [(signs[i], s) for i, s in enumerate(rows) if keep[i] and i != r]
         keep[r] = not (any(sa == st and _scales_to(s, t) for sa, s in kept)
-                       or any(_combines_to(a, b, t) for (sa, a), (sb, b) in combinations(kept, 2)
-                              if (sa | sb) & st == st))
+                       or any(_combines_to(a, b, t)
+                              for i, (sa, a) in enumerate(kept)
+                              for mask, bits in [_partner_signs(sa, st, n)]
+                              for sb, b in kept[i + 1:] if sb & mask == bits))
     rows_kept, rhs_kept = tuple(compress(poly.rows, keep)), tuple(compress(poly.rhs, keep))
     return RationalPolyhedron(poly.num_vars, rows_kept, rhs_kept)
+
+
+def _partner_signs(sa: int, st: int, n: int) -> tuple[int, int]:
+    """(mask, bits) of the sign supports sa, st of rows a, t in n columns:
+    la*a + lb*b = det*t with la, lb, det > 0 needs sb & mask == bits.  Where
+    a and t share a nonzero sign, b is free; elsewhere b has t's sign, or
+    -a's sign where t is zero."""
+    cols = (1 << n) - 1
+    shared = sa & st
+    fixed = cols & ~(shared | shared >> n)
+    zero_t = cols & ~(st | st >> n)
+    flipped = (sa >> n) & zero_t | (sa & zero_t) << n
+    mask = fixed | fixed << n
+    return mask, st & mask | flipped
 
 
 def _scales_to(s, t) -> bool:

@@ -146,18 +146,6 @@ class TestCheck:
         assert main(["check", "--pattern", f, "--verify-witness", "--budget", "10"]) == 4
         assert f"cap is {infimum.SYSTEM_BYTES_CAP}" in capsys.readouterr().err
 
-    def test_verify_witness_loads_no_scipy(self, lu2_file):
-        # the runtime depends on numpy alone; scipy is a test-only dependency
-        script = (
-            "import sys\n"
-            "from sparse_closure.cli import main\n"
-            f"assert main(['check', '--pattern', {lu2_file!r}, '--verify-witness']) == 1\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "[]\n"
-
 
 RULES = [None, RULE_SINGLE_LAYER, RULE_SCALAR_OUTPUT, RULE_DENSE_RANK, RULE_LU_GAP]
 # JSON escapes, non-ASCII text and the key at which the writer splices the subsets
@@ -780,6 +768,30 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys, calls):
         fresh = subprocess.run([sys.executable, "-m", "sparse_closure.cli", *argv],
                                capture_output=True, text=True)
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@pytest.mark.parametrize("argv, code, numpy", [
+    (None, None, False),
+    (["check", "--pattern", "{tmp}/lu2.json"], 1, False),
+    (["check", "--pattern", "{tmp}/deep.json", "--emit-smt", "{tmp}/deep.smt2"], 2, False),
+    (["emit-smt", "--pattern", "{tmp}/lu2.json", "--out", "{tmp}/lu2.smt2"], 0, False),
+    (["gen-dataset", "--pattern", "{tmp}/lu2.json", "--p", "4", "--out", "{tmp}/d"], 0, False),
+    (["project", "--input", "{tmp}/square.json", "--keep", "1", "--out", "{tmp}/o.json"], 0, False),
+    (["check", "--pattern", "{tmp}/lu2.json", "--verify-witness"], 1, True),
+], ids=["import", "check", "check-emit-smt", "emit-smt", "gen-dataset", "project", "verify-witness"])
+def test_only_the_witness_search_loads_numpy(tmp_path, argv, code, numpy):
+    # the exact-rational commands load no numpy, and nothing loads scipy, a
+    # test-only dependency; each case runs in a fresh interpreter
+    write_pattern(tmp_path / "lu2.json", lu_pattern(2))
+    write_pattern(tmp_path / "deep.json", dense_pattern((2, 2, 2, 2)))
+    (tmp_path / "square.json").write_text(json.dumps(SQUARE))
+    script = "import sys\nfrom sparse_closure.cli import main\n"
+    if argv is not None:
+        script += f"assert main({[a.format(tmp=tmp_path) for a in argv]!r}) == {code}\n"
+    script += "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}), file=sys.stderr)\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("['numpy']\n" if numpy else "[]\n")
 
 
 def test_parser_defaults_are_the_library_defaults():

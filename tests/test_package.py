@@ -1,0 +1,58 @@
+"""The package's public surface: each name is read from its home module on
+first use, and the surface is the one the eager imports gave."""
+
+import importlib
+
+import pytest
+
+import sparse_closure
+from sparse_closure import polyhedra
+
+PUBLIC = """
+Closedness ClosednessVerdict Grid Hyperplane InfimumResult LabeledDataset NetworkParams
+QeSentenceStats RationalPolyhedron SearchStats SparseFactors StackTrace SupportPattern
+TrainingConfig TrainingTrace affine_image build_bad_dataset check_theorem5_conditions
+closedness_verdict closure_gap_witness_lu contains dense_pattern drop_redundant edge_intersects
+eliminate_variable emit_qe_sentence find_free_hypercube forward infimum_oracle init_params
+jacobian_at loss_and_grad lu_membership lu_pattern metrics normalize_first_layer product project
+restrict_to_hidden row_support_union sgd_step theoretical_resolution train validate_pattern
+""".split()
+
+
+def test_all_lists_the_same_names_in_the_same_order():
+    assert sparse_closure.__all__ == PUBLIC
+
+
+def test_dir_lists_every_public_name():
+    assert set(sparse_closure.__all__) <= set(dir(sparse_closure))
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from sparse_closure import *", namespace)
+    assert set(PUBLIC) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_name_is_the_object_of_its_home_module(name):
+    value = getattr(sparse_closure, name)
+    home = value.__module__
+    assert home.startswith("sparse_closure.")
+    assert getattr(importlib.import_module(home), name) is value
+
+
+def test_a_swapped_function_shows_through_the_package(monkeypatch):
+    # a resolved name is not stored on the package, so a wrapper installed
+    # on the home module (and removed again) is what the package gives
+    original = sparse_closure.project
+    monkeypatch.setattr(polyhedra, "project", lambda *args: None)
+    assert sparse_closure.project is polyhedra.project
+    monkeypatch.undo()
+    assert sparse_closure.project is original
+    assert "project" not in vars(sparse_closure)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        sparse_closure.nonexistent
+    assert not hasattr(sparse_closure, "nonexistent")

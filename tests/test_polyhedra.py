@@ -414,6 +414,22 @@ class TestReferencePruning:
         assert expected.num_rows == 40
         assert polyhedra._prune(system) == expected
 
+    @pytest.mark.parametrize("rows, rhs, kept", [
+        # 2x + 2y <= 1 and x + y <= 1 are distinct canonical rows with
+        # proportional coefficients: the partner filter skips pairs whose
+        # combination would use one multiplier, which the scaled test covers
+        ([[2, 2], [1, 1], [1, 0], [0, 1], [-1, 0], [3, 1]], [1, 1, 1, 1, 0, 2], 4),
+        # the infeasible marker 0 <= -1 has no signs and is never implied; as a
+        # partner it combines with nothing
+        ([[0, 0], [1, 0], [-1, 0], [1, 1], [0, -1], [1, -1]], [-1, -1, 0, 3, 0, 2], 5),
+    ], ids=["proportional", "infeasible-marker"])
+    def test_partner_filter_keeps_the_rows_of_the_fraction_solver(self, rows, rhs, kept):
+        poly = polyhedron(2, rows, rhs)
+        system = reference_normalize(2, zip(poly.rows, poly.rhs))
+        expected = reference_prune(system)
+        assert polyhedra._prune(system) == expected
+        assert expected.num_rows == kept
+
 
 def reference_canonical_row(row, b):
     """Scale so coefficients and rhs become coprime integers, in Fraction
