@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--pattern", required=True, help="pattern JSON file")
     check.add_argument("--emit-smt", metavar="PATH", help="write the solver sentence here when undecided")
     check.add_argument("--max-hidden-enum", type=int, default=DEFAULT_MAX_HIDDEN,
-                       help="cap on N_1 for the 2^N_1 sufficient-condition enumeration (0: none)")
+                       help="cap on N_1 for the 2^N_1 sufficient-condition enumeration (0 skips it)")
     check.add_argument("--verify-witness", action="store_true",
                        help="back a not-closed verdict with the numerical infimum search")
     check.add_argument("--budget", type=int, default=100_000,

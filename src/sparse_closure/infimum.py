@@ -135,14 +135,12 @@ def infimum_oracle(
 
 class _Entry(NamedTuple):
     """What the search needs of one factor, built once per search: its mask
-    entries, its float mask, the identities that close the products on
-    either side of it, and the sides of its design block that no factor
-    changes (the left side of the last factor, the right side of the
-    first), else None."""
+    entries, the identities that close the products on either side of it,
+    and the sides of its design block that no factor changes (the left side
+    of the last factor, the right side of the first), else None."""
 
     rows: np.ndarray
     cols: np.ndarray
-    mask: np.ndarray
     eye_out: np.ndarray
     eye_in: np.ndarray
     left: np.ndarray | None
@@ -154,7 +152,7 @@ def _plan(masks, shape):
     plan = []
     for i, mask in enumerate(masks):
         rows, cols = np.nonzero(mask)
-        entry = _Entry(rows, cols, mask.astype(float), eye_out, eye_in, None, None)
+        entry = _Entry(rows, cols, eye_out, eye_in, None, None)
         plan.append(entry._replace(
             left=_left(entry, []) if i == len(masks) - 1 else None,
             right=_right(entry, []) if i == 0 else None,
@@ -205,7 +203,7 @@ def _sweep(A, xs, plan):
         if len(entry.rows) == 0:
             continue
         sol, *_ = np.linalg.lstsq(_design(xs, i, entry, A.shape), b, rcond=None)
-        x = np.zeros(entry.mask.shape)
+        x = np.zeros(xs[i].shape)
         x[entry.rows, entry.cols] = sol
         xs[i] = x
     return xs
@@ -245,10 +243,7 @@ def _descend(A, xs, plan, budget, counts):
         while used + depth <= budget:
             # a step that overflows is rejected by the finiteness test below
             with np.errstate(over="ignore"):
-                cand = [
-                    (x * np.exp(np.clip(lr * power, -700.0, 700.0))) * entry.mask
-                    for x, lr, entry in zip(xs, log_ratios, plan)
-                ]
+                cand = [x * np.exp(np.clip(lr * power, -700.0, 700.0)) for x, lr in zip(xs, log_ratios)]
             cand = _sweep(A, cand, plan)
             used += depth
             cand_dist = _distance(A, cand)

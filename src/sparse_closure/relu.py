@@ -20,9 +20,11 @@ DIVERGENCE_NORM = 1e8
 
 @dataclass
 class NetworkParams:
-    """Masked weights and biases of one network, or of a stack of S networks
-    on one pattern with a leading network axis on every array (weights
-    (S, N_out, N_in), biases (S, N_out)); mutated in place by training."""
+    """Weights and biases of one network, or of a stack of S networks on one
+    pattern with a leading network axis on every array (weights
+    (S, N_out, N_in), biases (S, N_out)).  A bundle holds parameters
+    (masked, mutated in place by training), their gradients or their
+    momentum."""
 
     pattern: SupportPattern
     weights: list[np.ndarray]
@@ -32,12 +34,13 @@ class NetworkParams:
         for w, m in zip(self.weights, self.pattern.mask_arrays):
             w *= m
 
+    def map(self, fn) -> "NetworkParams":
+        """The bundle on the same pattern whose arrays are fn of this one's."""
+        return NetworkParams(self.pattern, [fn(w) for w in self.weights], [fn(b) for b in self.biases])
+
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            pattern=self.pattern,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        # the method, not np.copy, so that every copy is C-ordered
+        return self.map(np.ndarray.copy)
 
     @classmethod
     def stack(cls, networks) -> "NetworkParams":
@@ -111,15 +114,9 @@ def jacobian_at(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     return jac
 
 
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 def loss_and_grad(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray):
     """Mean squared error over batch elements and output coordinates, with
-    reverse-mode gradients masked to the pattern.
+    reverse-mode gradients masked to the pattern, as a bundle on it.
 
     Averaging over output coordinates as well as the batch keeps learning
     rates meaningful across output widths (the standard MSE convention).
@@ -151,7 +148,7 @@ def loss_and_grad(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray
         b_grads[i] = delta.sum(axis=-1)
         if i > 0:
             delta = (params.weights[i].swapaxes(-1, -2) @ delta) * (pre[i - 1] > 0.0)
-    return (float(loss) if ndim == 2 else loss), Gradients(weights=w_grads, biases=b_grads)
+    return (float(loss) if ndim == 2 else loss), NetworkParams(params.pattern, w_grads, b_grads)
 
 
 @dataclass(frozen=True)
@@ -179,17 +176,10 @@ class TrainingConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def zero_velocity(params: NetworkParams) -> Gradients:
-    return Gradients(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
-
-
 def sgd_step(
     params: NetworkParams,
-    grads: Gradients,
-    velocity: Gradients,
+    grads: NetworkParams,
+    velocity: NetworkParams,
     config: TrainingConfig,
 ) -> None:
     """One momentum step with standard (coupled) weight decay:
@@ -310,7 +300,7 @@ def train(
     traces = [TrainingTrace() for _ in range(count)]
     live = np.arange(count)
     stack = NetworkParams.stack(networks)
-    velocity = zero_velocity(stack)
+    velocity = stack.map(np.zeros_like)
     for _ in range(config.epochs):
         stay = np.ones(len(live), dtype=bool)
         # overflow and NaN only arise in diverging networks, which the guard
@@ -337,8 +327,7 @@ def train(
                 trace.diverged = not stay[k]
         if not stay.all():
             live = live[stay]
-            stack = NetworkParams(stack.pattern, [w[stay] for w in stack.weights], [b[stay] for b in stack.biases])
-            velocity = Gradients([v[stay] for v in velocity.weights], [v[stay] for v in velocity.biases])
+            stack, velocity = stack.map(lambda a: a[stay]), velocity.map(lambda a: a[stay])
             if not live.size:
                 break
     return StackTrace(traces)

@@ -26,7 +26,6 @@ from sparse_closure.patterns import (
 )
 from sparse_closure.polyhedra import contains, eliminate_variable, polyhedron
 from sparse_closure.relu import (
-    Gradients,
     NetworkParams,
     activation_pattern,
     forward,
@@ -74,10 +73,7 @@ def sample_off_boundary(rng, params, batch):
 
 
 def finite_difference_grads(params, x, y):
-    grads = Gradients(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
+    grads = params.map(np.zeros_like)
     for li, w in enumerate(params.weights):
         for idx in np.ndindex(w.shape):
             if not params.pattern.mask_arrays[li][idx]:

@@ -1,5 +1,7 @@
+import csv
 import warnings
 
+import numpy as np
 import pytest
 
 from sparse_closure.experiments import (
@@ -9,6 +11,7 @@ from sparse_closure.experiments import (
     STANDARD_WEIGHT_DECAY,
     desk_spec,
     run_experiment,
+    write_experiment,
 )
 
 
@@ -50,3 +53,45 @@ def test_diverging_runs_are_flagged_without_warnings(tmp_path):
         warnings.simplefilter("error")
         result = run_experiment(spec)
     assert all(t.diverged for t in result.traces)
+
+
+def read_csv_columns(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, body = rows[0], rows[1:]
+    assert header[0] == "epoch" and all(len(row) == len(header) for row in body)
+    columns = {"epoch": [int(row[0]) for row in body]}
+    columns.update({name: [float(row[i]) for row in body] for i, name in enumerate(header[1:], 1)})
+    return columns
+
+
+def assert_same_floats(read, expected):
+    # bit for bit, signs of zero included; NaN payloads do not survive text
+    read, expected = np.asarray(read, dtype=float), np.asarray(expected, dtype=float)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(read), nan)
+    assert np.array_equal(read[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+def test_trace_csvs_read_back_exactly(tmp_path):
+    # runs diverge at different epochs (lengths 8, 8 and 2, the last epoch
+    # of the short one NaN), so the aggregate is truncated
+    spec = desk_spec(False, tmp_path, dimension=6, num_samples=300, epochs=8, batch_size=10,
+                     runs=3, learning_rate=5.0)
+    result = run_experiment(spec)
+    lengths = [len(t) for t in result.traces]
+    assert min(lengths) < max(lengths)
+    *run_paths, agg_path = write_experiment(spec, result)
+    assert len(run_paths) == spec.runs
+    for trace, path in zip(result.traces, run_paths):
+        read = read_csv_columns(path)
+        assert list(read) == ["epoch", *trace.columns()]
+        assert read.pop("epoch") == list(range(1, len(trace) + 1))
+        for name, values in trace.columns().items():
+            assert_same_floats(read[name], values)
+    aggregate = result.aggregate()
+    read = read_csv_columns(agg_path)
+    assert list(read) == list(aggregate)
+    assert read.pop("epoch") == aggregate.pop("epoch").tolist() == list(range(1, min(lengths) + 1))
+    for name, values in aggregate.items():
+        assert_same_floats(read[name], values)

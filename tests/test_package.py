@@ -1,7 +1,10 @@
 """The package's public surface: each name is read from its home module on
-first use, and the surface is the one the eager imports gave."""
+first use, and the surface is the one the eager imports gave; and no
+module imports a name it never uses."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +59,23 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         sparse_closure.nonexistent
     assert not hasattr(sparse_closure, "nonexistent")
+
+
+# experiments keeps ProcessPoolExecutor for the benchmark's tracer, which
+# reads it there (see the comment on that import)
+UNUSED_IMPORTS_KEPT = {("experiments.py", "ProcessPoolExecutor")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = set()
+    for path in sorted(Path(sparse_closure.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.name, name) for name in imported - used}
+    assert unused == UNUSED_IMPORTS_KEPT

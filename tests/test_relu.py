@@ -5,7 +5,6 @@ import pytest
 
 from sparse_closure.patterns import SupportPattern, dense_pattern, lu_pattern
 from sparse_closure.relu import (
-    Gradients,
     NetworkParams,
     TrainingConfig,
     activation_pattern,
@@ -17,7 +16,6 @@ from sparse_closure.relu import (
     normalize_first_layer,
     sgd_step,
     train,
-    zero_velocity,
 )
 
 FD_STEP = 1e-6
@@ -65,10 +63,7 @@ def draw_off_boundary(rng, params, batch=4):
 def fd_gradients(params, x, y):
     """Central finite differences of the loss through every parameter entry."""
     base = params.copy()
-    grads = Gradients(
-        weights=[np.zeros_like(w) for w in base.weights],
-        biases=[np.zeros_like(b) for b in base.biases],
-    )
+    grads = base.map(np.zeros_like)
 
     def loss_at(p):
         return loss_and_grad(p, x, y)[0]
@@ -243,6 +238,7 @@ class TestLossAndGrad:
         x = rng.uniform(-1, 1, size=(params.pattern.input_dim, 3))
         y = rng.uniform(-1, 1, size=(params.pattern.output_dim, 3))
         _, grads = loss_and_grad(params, x, y)
+        assert isinstance(grads, NetworkParams) and grads.pattern == params.pattern
         for li in range(2):
             off = ~params.pattern.mask_arrays[li]
             assert np.all(grads.weights[li][off] == 0.0)
@@ -265,15 +261,25 @@ class TestLossAndGrad:
             y = rng.uniform(-1, 1, size=(3, n2, 5))
             stack = NetworkParams.stack(networks)
             losses, grads = loss_and_grad(stack, x, y)
-            sgd_step(stack, grads, zero_velocity(stack), config)
+            sgd_step(stack, grads, stack.map(np.zeros_like), config)
             for s, net in enumerate(networks):
                 loss, g = loss_and_grad(net, x[s], y[s])
                 assert losses[s] == loss
                 for a, b in zip(grads.weights + grads.biases, g.weights + g.biases):
                     assert np.array_equal(a[s], b)
-                sgd_step(net, g, zero_velocity(net), config)
+                sgd_step(net, g, net.map(np.zeros_like), config)
                 for a, b in zip(stack.weights + stack.biases, net.weights + net.biases):
                     assert np.array_equal(a[s], b)
+
+
+class TestCopy:
+    def test_copy_is_independent_and_c_ordered(self):
+        params = init_params(lu_pattern(3), np.random.default_rng(4))
+        params.weights[0] = np.asfortranarray(params.weights[0])
+        copy = params.copy()
+        assert copy.pattern == params.pattern
+        for c, a in zip(copy.weights + copy.biases, params.weights + params.biases):
+            assert np.array_equal(c, a) and c.flags.c_contiguous and not np.shares_memory(c, a)
 
 
 class TestTrainingConfig:
@@ -297,22 +303,20 @@ class TestSgdStep:
         rng = np.random.default_rng(7)
         params = random_two_layer_params(rng)
         before = params.copy()
-        grads = Gradients(
-            weights=[np.zeros_like(w) for w in params.weights],
-            biases=[np.zeros_like(b) for b in params.biases],
-        )
-        sgd_step(params, grads, zero_velocity(params), TrainingConfig())
+        grads = params.map(np.zeros_like)
+        sgd_step(params, grads, params.map(np.zeros_like), TrainingConfig())
         for w, w0 in zip(params.weights, before.weights):
             assert np.array_equal(w, w0)
 
     def test_plain_gradient_descent(self):
         params = single_neuron_params(1.0, 0.0, 1.0, 0.0)
-        grads = Gradients(
+        grads = NetworkParams(
+            pattern=params.pattern,
             weights=[np.array([[2.0]]), np.array([[4.0]])],
             biases=[np.array([1.0]), np.array([3.0])],
         )
         config = TrainingConfig(momentum=0.0, weight_decay=0.0, learning_rate=0.1)
-        sgd_step(params, grads, zero_velocity(params), config)
+        sgd_step(params, grads, params.map(np.zeros_like), config)
         assert params.weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 2.0)
         assert params.weights[1][0, 0] == pytest.approx(1.0 - 0.1 * 4.0)
         assert params.biases[0][0] == pytest.approx(-0.1)
@@ -320,8 +324,9 @@ class TestSgdStep:
 
     def test_momentum_and_decay_update(self):
         params = single_neuron_params(1.0, 0.0, 1.0, 0.0)
-        velocity = zero_velocity(params)
-        grads = Gradients(
+        velocity = params.map(np.zeros_like)
+        grads = NetworkParams(
+            pattern=params.pattern,
             weights=[np.array([[1.0]]), np.array([[0.0]])],
             biases=[np.array([0.0]), np.array([0.0])],
         )
@@ -337,17 +342,18 @@ class TestSgdStep:
         rng = np.random.default_rng(8)
         params = init_params(lu_pattern(3), rng)
         params.weights[0][2, 0] = 5.0  # off the upper-triangular mask
-        grads = Gradients(
+        grads = NetworkParams(
+            pattern=params.pattern,
             weights=[np.zeros((3, 3)), np.zeros((3, 3))],
             biases=[np.zeros(3), np.zeros(3)],
         )
-        sgd_step(params, grads, zero_velocity(params), TrainingConfig())
+        sgd_step(params, grads, params.map(np.zeros_like), TrainingConfig())
         assert params.weights[0][2, 0] == 0.0
 
     def test_mask_invariance_across_training_steps(self):
         rng = np.random.default_rng(10)
         params = init_params(lu_pattern(4), rng)
-        velocity = zero_velocity(params)
+        velocity = params.map(np.zeros_like)
         config = TrainingConfig(momentum=0.9, weight_decay=1e-3, learning_rate=0.05)
         x = rng.uniform(-1, 1, size=(4, 16))
         y = rng.uniform(-1, 1, size=(4, 16))
