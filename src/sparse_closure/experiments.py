@@ -9,6 +9,8 @@ standard decay the norms stay put at the price of a worse fit.
 
 from __future__ import annotations
 
+import warnings
+
 # Unused here: the benchmark's tracer (bench/tracing.py) reads this name on
 # every run.  Remove it with that binding.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
@@ -96,14 +98,27 @@ class ExperimentResult:
     initial_w2: tuple[float, ...]
 
     def aggregate(self) -> dict[str, np.ndarray]:
-        """Per-epoch mean and std over seeds, truncated to the shortest trace
-        (traces only differ in length if the divergence guard fired)."""
-        n = min(len(t) for t in self.traces)
+        """Per-epoch mean and std over seeds, for every epoch that some run
+        recorded, and in the last column, `runs`, how many runs they cover.
+
+        At each epoch they are taken over the runs whose values there are
+        all finite.  A run that the divergence guard stopped has no values
+        after that epoch, and none at it either if its weights went
+        non-finite.  Where no run counts, the mean and std are NaN.
+        """
+        n = max(len(t) for t in self.traces)
+        columns = {name: np.full((len(self.traces), n), np.nan) for name in self.traces[0].columns()}
+        for r, trace in enumerate(self.traces):
+            for name, values in trace.columns().items():
+                columns[name][r, : len(trace)] = values
+        counted = np.logical_and.reduce([np.isfinite(arr) for arr in columns.values()])
         out: dict[str, np.ndarray] = {"epoch": np.arange(1, n + 1)}
-        for name in self.traces[0].columns():
-            arr = np.asarray([t.columns()[name][:n] for t in self.traces])
-            out[f"{name}_mean"] = arr.mean(axis=0)
-            out[f"{name}_std"] = arr.std(axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the empty epochs' 0/0
+            for name, arr in columns.items():
+                out[f"{name}_mean"] = arr.mean(axis=0, where=counted)
+                out[f"{name}_std"] = arr.std(axis=0, where=counted)
+        out["runs"] = counted.sum(axis=0)
         return out
 
 

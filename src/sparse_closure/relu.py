@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,38 +19,69 @@ from .patterns import SupportPattern
 DIVERGENCE_NORM = 1e8
 
 
-@dataclass
+@lru_cache(maxsize=32)
+def _layout(pattern: SupportPattern):
+    """(start, stop, shape) of each weight block, then of each bias block, in
+    a network's flat parameter vector; its length; and the indices of its
+    off-mask entries, all among the weights, which come first."""
+    shapes = [pattern.layer_shape(i) for i in range(pattern.depth)]
+    shapes += [(n_out,) for n_out, _ in shapes]
+    blocks, stop = [], 0
+    for shape in shapes:
+        blocks.append((stop, stop + math.prod(shape), shape))
+        stop += math.prod(shape)
+    off = np.flatnonzero(np.concatenate([~mask.ravel() for mask in pattern.mask_arrays]))
+    off.flags.writeable = False  # cached, so every bundle on the pattern shares it
+    return tuple(blocks), stop, off
+
+
 class NetworkParams:
     """Weights and biases of one network, or of a stack of S networks on one
-    pattern with a leading network axis on every array (weights
-    (S, N_out, N_in), biases (S, N_out)).  A bundle holds parameters
-    (masked, mutated in place by training), their gradients or their
-    momentum."""
+    pattern, in one float64 buffer `flat` of shape (P,), or (S, P) for a
+    stack: every layer's weights, then every layer's biases.  `weights`
+    ((S,) N_out x N_in each) and `biases` ((S,) N_out each) are views into
+    it, made once.  A bundle holds parameters (masked, mutated in place by
+    training), their gradients or their momentum."""
 
-    pattern: SupportPattern
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, pattern: SupportPattern, weights, biases):
+        """The bundle holding copies of the given arrays."""
+        lead = np.shape(weights[0])[:-2]
+        arrays = [np.reshape(a, lead + (-1,)) for a in [*weights, *biases]]
+        self._adopt(pattern, np.concatenate(arrays, axis=-1, dtype=float))
+
+    def _adopt(self, pattern: SupportPattern, flat: np.ndarray) -> None:
+        blocks, size, off = _layout(pattern)
+        if flat.shape[-1:] != (size,) or not flat.flags.c_contiguous:
+            raise ValueError(f"a bundle on dims {pattern.dims} needs a C-ordered (..., {size}) buffer")
+        views = [flat[..., start:stop].reshape(flat.shape[:-1] + shape) for start, stop, shape in blocks]
+        self.pattern, self.flat = pattern, flat
+        self.weights, self.biases = views[: pattern.depth], views[pattern.depth :]
+        # off-mask positions in the raveled buffer, one network after another
+        self._off = (size * np.arange(flat.size // size)[:, None] + off).ravel()
+
+    @classmethod
+    def _on_buffer(cls, pattern: SupportPattern, flat: np.ndarray) -> "NetworkParams":
+        """The bundle whose arrays are views into flat (not copied)."""
+        params = cls.__new__(cls)
+        params._adopt(pattern, flat)
+        return params
 
     def project_masks(self) -> None:
-        for w, m in zip(self.weights, self.pattern.mask_arrays):
-            w *= m
+        """Set every off-mask weight to 0.0 (a multiply by the mask would keep
+        NaN and infinities as NaN)."""
+        self.flat.reshape(-1)[self._off] = 0.0
 
     def map(self, fn) -> "NetworkParams":
-        """The bundle on the same pattern whose arrays are fn of this one's."""
-        return NetworkParams(self.pattern, [fn(w) for w in self.weights], [fn(b) for b in self.biases])
+        """The bundle on the same pattern whose buffer is fn of this one's."""
+        return NetworkParams._on_buffer(self.pattern, fn(self.flat))
 
     def copy(self) -> "NetworkParams":
-        # the method, not np.copy, so that every copy is C-ordered
         return self.map(np.ndarray.copy)
 
     @classmethod
     def stack(cls, networks) -> "NetworkParams":
         """Networks on one pattern as one stack, in order (copied)."""
-        return cls(
-            pattern=networks[0].pattern,
-            weights=[np.stack(ws) for ws in zip(*(n.weights for n in networks))],
-            biases=[np.stack(bs) for bs in zip(*(n.biases for n in networks))],
-        )
+        return cls._on_buffer(networks[0].pattern, np.stack([n.flat for n in networks]))
 
 
 def init_params(pattern: SupportPattern, rng: np.random.Generator, scale: float = 1.0) -> NetworkParams:
@@ -65,14 +97,18 @@ def init_params(pattern: SupportPattern, rng: np.random.Generator, scale: float 
     return params
 
 
-def _preactivations(params: NetworkParams, x: np.ndarray) -> list[np.ndarray]:
-    """Pre-activations z_1, ..., z_L of a batch x of shape (N_0, P), each of
-    shape (N_i, P), or (S, N_0, P) and (S, N_i, P) for a stack of S networks.
-    ReLU applies between layers; z_L is the output."""
-    zs = [params.weights[0] @ x + params.biases[0][..., None]]
+def _forward(params: NetworkParams, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The hidden activations h_1, ..., h_{L-1} (after the ReLU) and the
+    output z_L of a batch x of shape (N_0, P), each of shape (N_i, P), or
+    (S, N_0, P) and (S, N_i, P) for a stack of S networks."""
+    hidden = []
+    z = params.weights[0] @ x
+    z += params.biases[0][..., None]
     for w, b in zip(params.weights[1:], params.biases[1:]):
-        zs.append(w @ np.maximum(zs[-1], 0.0) + b[..., None])
-    return zs
+        hidden.append(np.maximum(z, 0.0, out=z))
+        z = w @ z
+        z += b[..., None]
+    return hidden, z
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -87,7 +123,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
             f"input must be ({params.pattern.input_dim},) or "
             f"({params.pattern.input_dim}, P), got shape {a.shape}"
         )
-    out = _preactivations(params, a[:, None] if single else a)[-1]
+    out = _forward(params, a[:, None] if single else a)[1]
     return out[:, 0] if single else out
 
 
@@ -97,7 +133,11 @@ def activation_pattern(params: NetworkParams, x: np.ndarray):
     A preactivation of exactly zero counts as inactive and raises the
     boundary flag; the Jacobian is not unique there.
     """
-    hidden = [z[:, 0] for z in _preactivations(params, np.asarray(x, dtype=float)[:, None])[:-1]]
+    a, hidden = np.asarray(x, dtype=float)[:, None], []
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = w @ a + b[:, None]
+        hidden.append(z[:, 0])
+        a = np.maximum(z, 0.0)
     boundary = any(bool(np.any(z == 0.0)) for z in hidden)
     return [(z > 0.0).astype(float) for z in hidden], boundary
 
@@ -112,6 +152,28 @@ def jacobian_at(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     for i in range(1, params.pattern.depth):
         jac = params.weights[i] @ (diags[i - 1][:, None] * jac)
     return jac
+
+
+def _backprop(params: NetworkParams, x: np.ndarray, y: np.ndarray, grads: NetworkParams, with_loss=False):
+    """Write into grads the masked gradients of the mean squared error of a
+    batch (x, y), shaped as in loss_and_grad; return the loss if asked for,
+    else None.  Nothing is checked."""
+    hidden, residual = _forward(params, x)
+    residual -= y
+    denom = y.shape[-2] * y.shape[-1]
+    loss = np.sum(residual**2, axis=(-2, -1)) / denom if with_loss else None
+    delta = residual
+    delta *= 2.0
+    delta /= denom
+    for i in reversed(range(params.pattern.depth)):
+        layer_input = hidden[i - 1] if i > 0 else x
+        np.matmul(delta, layer_input.swapaxes(-1, -2), out=grads.weights[i])
+        np.add.reduce(delta, axis=-1, out=grads.biases[i])
+        if i > 0:
+            delta = params.weights[i].swapaxes(-1, -2) @ delta
+            delta *= layer_input > 0.0
+    grads.project_masks()
+    return loss
 
 
 def loss_and_grad(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray):
@@ -133,22 +195,9 @@ def loss_and_grad(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray
         )
     if x.shape[-1] == 0:
         raise ValueError("empty batch")
-    depth = params.pattern.depth
-    pre = _preactivations(params, x)
-    residual = pre[-1] - y
-    denom = y.shape[-2] * y.shape[-1]
-    loss = np.sum(residual**2, axis=(-2, -1)) / denom
-
-    w_grads = [None] * depth
-    b_grads = [None] * depth
-    delta = 2.0 * residual / denom
-    for i in reversed(range(depth)):
-        layer_input = np.maximum(pre[i - 1], 0.0) if i > 0 else x
-        w_grads[i] = (delta @ layer_input.swapaxes(-1, -2)) * params.pattern.mask_arrays[i]
-        b_grads[i] = delta.sum(axis=-1)
-        if i > 0:
-            delta = (params.weights[i].swapaxes(-1, -2) @ delta) * (pre[i - 1] > 0.0)
-    return (float(loss) if ndim == 2 else loss), NetworkParams(params.pattern, w_grads, b_grads)
+    grads = params.map(np.empty_like)
+    loss = _backprop(params, x, y, grads, with_loss=True)
+    return (float(loss) if ndim == 2 else loss), grads
 
 
 @dataclass(frozen=True)
@@ -184,15 +233,12 @@ def sgd_step(
 ) -> None:
     """One momentum step with standard (coupled) weight decay:
     v <- momentum v + grad + decay p;  p <- p - lr v;  then mask projection.
-    Elementwise, so it steps a stack of networks as it steps one."""
-    for p, g, v in zip(
-        params.weights + params.biases,
-        grads.weights + grads.biases,
-        velocity.weights + velocity.biases,
-    ):
-        v *= config.momentum
-        v += g + config.weight_decay * p
-        p -= config.learning_rate * v
+    Elementwise over the bundles' buffers, so it steps a stack of networks
+    as it steps one."""
+    v, p = velocity.flat, params.flat
+    v *= config.momentum
+    v += grads.flat + config.weight_decay * p
+    p -= config.learning_rate * v
     params.project_masks()
 
 
@@ -213,14 +259,16 @@ def metrics(params: NetworkParams, inputs, targets, target_matrix) -> tuple[floa
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     out = forward(params, x)
-    sq_err = np.sum((out - y) ** 2, axis=0)
+    out -= y
+    sq_err = np.sum(np.square(out, out=out), axis=0)
     sq_norm = np.sum(y**2, axis=0)
     keep = sq_norm > 0.0
     if not np.any(keep):
         raise ValueError("all targets are zero: relative empirical loss undefined")
     rel_empirical = float(np.mean(sq_err[keep] / sq_norm[keep]))
-    prod = params.weights[1] @ params.weights[0]
-    rel_jacobian = float(np.sum((a - prod) ** 2) / a_norm_sq)
+    diff = params.weights[1] @ params.weights[0]
+    np.subtract(a, diff, out=diff)
+    rel_jacobian = float(np.sum(np.square(diff, out=diff)) / a_norm_sq)
     return rel_empirical, rel_jacobian
 
 
@@ -247,12 +295,12 @@ class TrainingTrace:
 
 
 def write_trace_csv(path, columns: dict) -> None:
-    """CSV of an integer 'epoch' column followed by float columns, written
-    with repr so that every value round-trips exactly."""
+    """CSV of float and integer columns, the first an integer 'epoch'.
+    Floats are written with repr, so that every value round-trips exactly."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for epoch, *values in zip(*columns.values()):
-            fh.write(",".join([str(int(epoch))] + [repr(float(v)) for v in values]) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(int(v)) for v in row) + "\n")
 
 
 @dataclass
@@ -301,6 +349,7 @@ def train(
     live = np.arange(count)
     stack = NetworkParams.stack(networks)
     velocity = stack.map(np.zeros_like)
+    grads = stack.map(np.empty_like)
     for _ in range(config.epochs):
         stay = np.ones(len(live), dtype=bool)
         # overflow and NaN only arise in diverging networks, which the guard
@@ -309,12 +358,11 @@ def train(
             rows = np.stack([rngs[s].permutation(n) for s in live]) + n * live[:, None]
             for start in range(0, n, config.batch_size):
                 batch = samples.take(rows[:, start : start + config.batch_size], axis=0).swapaxes(1, 2)
-                _, grads = loss_and_grad(stack, batch, a @ batch)
+                _backprop(stack, batch, a @ batch, grads)
                 sgd_step(stack, grads, velocity, config)
             for k, s in enumerate(live):
                 network, data = networks[s], samples[s * n : (s + 1) * n].T
-                for dst, src in zip(network.weights + network.biases, stack.weights + stack.biases):
-                    dst[...] = src[k]
+                network.flat[...] = stack.flat[k]
                 rel_emp, rel_jac = metrics(network, data, a @ data, a)
                 w1, w2 = (float(np.linalg.norm(w)) for w in network.weights)
                 trace = traces[s]
@@ -327,9 +375,9 @@ def train(
                 trace.diverged = not stay[k]
         if not stay.all():
             live = live[stay]
-            stack, velocity = stack.map(lambda a: a[stay]), velocity.map(lambda a: a[stay])
             if not live.size:
                 break
+            stack, velocity, grads = (b.map(lambda flat: flat[stay]) for b in (stack, velocity, grads))
     return StackTrace(traces)
 
 

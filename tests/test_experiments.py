@@ -9,10 +9,12 @@ from sparse_closure.experiments import (
     DESK_DIMENSION,
     PAPER_SCALE,
     STANDARD_WEIGHT_DECAY,
+    ExperimentResult,
     desk_spec,
     run_experiment,
     write_experiment,
 )
+from sparse_closure.relu import TrainingTrace
 
 
 class TestDeskSpec:
@@ -75,7 +77,7 @@ def assert_same_floats(read, expected):
 
 def test_trace_csvs_read_back_exactly(tmp_path):
     # runs diverge at different epochs (lengths 8, 8 and 2, the last epoch
-    # of the short one NaN), so the aggregate is truncated
+    # of the short one NaN), so the aggregate's count column changes
     spec = desk_spec(False, tmp_path, dimension=6, num_samples=300, epochs=8, batch_size=10,
                      runs=3, learning_rate=5.0)
     result = run_experiment(spec)
@@ -92,6 +94,42 @@ def test_trace_csvs_read_back_exactly(tmp_path):
     aggregate = result.aggregate()
     read = read_csv_columns(agg_path)
     assert list(read) == list(aggregate)
-    assert read.pop("epoch") == aggregate.pop("epoch").tolist() == list(range(1, min(lengths) + 1))
+    assert read.pop("epoch") == aggregate.pop("epoch").tolist() == list(range(1, max(lengths) + 1))
+    assert read.pop("runs") == aggregate.pop("runs").tolist() == [3] + [2] * 7
     for name, values in aggregate.items():
         assert_same_floats(read[name], values)
+
+
+def test_aggregate_covers_the_finite_runs_of_each_epoch(tmp_path):
+    spec = desk_spec(False, tmp_path, dimension=6, num_samples=300, epochs=8, batch_size=10,
+                     runs=3, learning_rate=5.0)
+    result = run_experiment(spec)
+    aggregate = result.aggregate()
+    for e in range(8):
+        rows = [[t.columns()[name][e] for name in t.columns()] for t in result.traces if len(t) > e]
+        finite = np.array([row for row in rows if np.all(np.isfinite(row))])
+        assert aggregate["runs"][e] == len(finite)
+        for c, name in enumerate(result.traces[0].columns()):
+            assert aggregate[f"{name}_mean"][e] == pytest.approx(finite[:, c].mean(), rel=1e-12)
+            assert aggregate[f"{name}_std"][e] == pytest.approx(finite[:, c].std(), rel=1e-12, abs=1e-12)
+
+
+def test_aggregate_of_finite_runs_is_the_plain_mean_and_std(tmp_path):
+    result = run_experiment(desk_spec(True, tmp_path, dimension=5, num_samples=200, epochs=3, runs=10))
+    aggregate = result.aggregate()
+    assert aggregate["runs"].tolist() == [10] * 3
+    for name in result.traces[0].columns():
+        arr = np.asarray([t.columns()[name] for t in result.traces])
+        assert_same_floats(aggregate[f"{name}_mean"], arr.mean(axis=0))
+        assert_same_floats(aggregate[f"{name}_std"], arr.std(axis=0))
+
+
+def test_an_epoch_no_run_counts_at_is_nan_without_warnings():
+    nan = float("nan")
+    traces = [TrainingTrace([1.0, nan], [2.0, nan], [3.0, nan], [4.0, nan], True),
+              TrainingTrace([5.0], [6.0], [7.0], [8.0], False)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        aggregate = ExperimentResult(tuple(traces), (1.0, 1.0), (1.0, 1.0)).aggregate()
+    assert aggregate["runs"].tolist() == [2, 0]
+    assert aggregate["rel_empirical_mean"][0] == 3.0 and np.isnan(aggregate["rel_empirical_mean"][1])

@@ -79,3 +79,50 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.name, name) for name in imported - used}
     assert unused == UNUSED_IMPORTS_KEPT
+
+
+# Top-level definitions that no module in src/ uses, each with its consumer:
+# an acceptance criterion, a demo, a benchmark binding or the ROADMAP item
+# that deletes it.  Entries only ever leave this table.
+CONSUMERS = {
+    ("closure", "lu_membership"): "criterion 6",
+    ("closure", "scalar_output_projection_distance"): "tests only; ROADMAP item 10 deletes it",
+    ("datasets", "edge_intersects"): "tests only; ROADMAP item 21 deletes it or gives it a caller",
+    ("datasets", "find_free_hypercube"): "criterion 5, demo_pathological_dataset",
+    ("datasets", "hyperplane"): "criterion 5, demo_pathological_dataset",
+    ("experiments", "run_single_seed"): "bench/workloads.py probe; ROADMAP item 11b deletes it",
+    ("patterns", "dense_pattern"): "demo_closedness_checks; ROADMAP item 19 gives it a caller",
+    ("patterns", "product"): "demo_closedness_checks, demo_infimum_gap",
+    ("patterns", "random_factors"): "demo_infimum_gap",
+    ("patterns", "restrict_to_hidden"): "bench/tracing.py binding; ROADMAP item 11b deletes it",
+    ("polyhedra", "affine_image"): "demo_fourier_motzkin",
+    ("polyhedra", "contains"): "criterion 4, demo_fourier_motzkin",
+    ("relu", "jacobian_at"): "criterion 2",
+    ("relu", "loss_and_grad"): "criterion 1, bench/tracing.py binding",
+    ("relu", "normalize_first_layer"): "criterion 9",
+}
+
+
+def test_every_top_level_definition_has_a_consumer():
+    # a use is a loaded name or attribute, or an import of the name from a
+    # sibling module under any alias; the package's lazy name table is
+    # strings and counts for none
+    defined, used = set(), set()
+    for path in sorted(Path(sparse_closure.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined |= {(path.stem, name) for name in names if not name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                used |= {alias.name for alias in node.names}
+    assert {(module, name) for module, name in defined if name not in used} == set(CONSUMERS)

@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+import train_reference
 
+from sparse_closure import experiments
 from sparse_closure.patterns import SupportPattern, dense_pattern, lu_pattern
 from sparse_closure.relu import (
     NetworkParams,
@@ -280,6 +282,22 @@ class TestCopy:
         assert copy.pattern == params.pattern
         for c, a in zip(copy.weights + copy.biases, params.weights + params.biases):
             assert np.array_equal(c, a) and c.flags.c_contiguous and not np.shares_memory(c, a)
+
+    def test_weights_and_biases_are_views_into_one_buffer(self):
+        networks = [init_params(dense_pattern((4, 6, 3)), np.random.default_rng(s)) for s in range(2)]
+        stack = NetworkParams.stack(networks)
+        assert stack.flat.shape == (2, 6 * 4 + 3 * 6 + 6 + 3)
+        for array in stack.weights + stack.biases:
+            assert array.base is not None and np.shares_memory(array, stack.flat)
+        stack.biases[1][1, 2] = 7.0
+        assert stack.flat[1, -1] == 7.0
+        assert np.array_equal(stack.flat[0], networks[0].flat)
+
+    def test_a_buffer_the_views_cannot_share_is_refused(self):
+        stack = NetworkParams.stack([init_params(lu_pattern(3), np.random.default_rng(s)) for s in range(2)])
+        for fn in (np.asfortranarray, lambda flat: flat[:, :-1]):
+            with pytest.raises(ValueError, match="C-ordered"):
+                stack.map(fn)
 
 
 class TestTrainingConfig:
@@ -639,6 +657,20 @@ class TestTrain:
             norms = [np.linalg.norm(w) for w in net.weights]
             assert np.array_equal(norms, [trace.w1_norms[-1], trace.w2_norms[-1]], equal_nan=True)
 
+    def test_off_mask_weights_stay_zero_when_the_update_overflows(self):
+        # at this step size the weights pass through inf, and inf * 0 is NaN,
+        # so a projection by multiplying would leave NaN off the mask
+        pattern = lu_pattern(3)
+        config = TrainingConfig(batch_size=8, epochs=3, momentum=0.0, learning_rate=1e200)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1, 1, size=(3, 32))
+        params = init_params(pattern, rng)
+        trace = train([params], x[None], np.fliplr(np.eye(3)), config, [rng]).traces[0]
+        assert trace.diverged
+        assert not np.all(np.isfinite(params.flat))
+        for w, m in zip(params.weights, pattern.mask_arrays):
+            assert np.all(w[~m] == 0.0)
+
     def test_stack_needs_inputs_and_a_generator_per_network(self):
         pattern = lu_pattern(2)
         networks = [init_params(pattern, np.random.default_rng(s)) for s in range(2)]
@@ -656,3 +688,79 @@ class TestTrain:
         rngs = [np.random.default_rng(s) for s in range(2)]
         with pytest.raises(ValueError, match="one pattern"):
             train([first, second], np.zeros((2, 2, 8)), np.fliplr(np.eye(2)), config, rngs)
+
+
+def random_mask_pattern(rng, dims, density):
+    masks = [frozenset((r, c) for r in range(n_out) for c in range(n_in) if rng.random() < density)
+             for n_in, n_out in zip(dims, dims[1:])]
+    return SupportPattern(dims=dims, masks=tuple(masks))
+
+
+def assert_same_bits(actual, expected):
+    # equal as bit patterns, signs of zero included, with NaN equal to NaN
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    nan = np.isnan(expected)
+    assert actual.shape == expected.shape and np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+def assert_same_training(pattern, target, count, config, samples=44, scale=1.0):
+    rng = np.random.default_rng([17, count])
+    x = rng.uniform(-1, 1, size=(count, pattern.input_dim, samples))
+    networks = [init_params(pattern, rng, scale=scale) for _ in range(count)]
+    held = [net.copy() for net in networks]
+
+    def streams():
+        return [np.random.default_rng([23, s]) for s in range(count)]
+
+    result = train(networks, x, target, config, streams())
+    expected = train_reference.train(held, x, target, config, streams())
+    for got, want in zip(result.traces, expected.traces):
+        assert got.diverged == want.diverged
+        for name, column in want.columns().items():
+            assert_same_bits(got.columns()[name], column)
+    for net, ref in zip(networks, held):
+        assert_same_bits(net.flat, ref.flat)
+    return result
+
+
+class TestAgainstPerArrayReference:
+    PATTERNS = {
+        "lu3": lambda rng: lu_pattern(3),
+        "lu8": lambda rng: lu_pattern(8),
+        "dense463": lambda rng: dense_pattern((4, 6, 3)),
+        "random574": lambda rng: random_mask_pattern(rng, (5, 7, 4), 0.6),
+    }
+
+    @pytest.mark.parametrize("decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("name", list(PATTERNS))
+    def test_traces_flags_and_weights_are_the_reference_bits(self, name, count, decay):
+        rng = np.random.default_rng(31)
+        pattern = self.PATTERNS[name](rng)
+        target = rng.uniform(-1, 1, size=(pattern.output_dim, pattern.input_dim))
+        config = TrainingConfig(batch_size=8, epochs=4, learning_rate=0.05, weight_decay=decay)
+        result = assert_same_training(pattern, target, count, config)
+        assert not any(t.diverged for t in result.traces)
+
+    def test_a_stack_with_diverging_runs(self):
+        # one run leaves the stack with non-finite norms and the others train on
+        config = TrainingConfig(batch_size=4, epochs=6, learning_rate=3.0)
+        result = assert_same_training(lu_pattern(3), np.fliplr(np.eye(3)), 5, config, scale=2.0)
+        lengths = sorted(len(t) for t in result.traces)
+        assert any(t.diverged for t in result.traces) and lengths[0] < lengths[-1]
+
+    @pytest.mark.parametrize("overrides", [
+        dict(regularized=False, learning_rate=5.0),
+        dict(regularized=True, epochs=3),
+    ])
+    def test_per_run_csvs_are_the_reference_bytes(self, tmp_path, monkeypatch, overrides):
+        common = dict(dimension=6, num_samples=300, epochs=8, batch_size=10, runs=3)
+        written = []
+        for tag in ("new", "reference"):
+            if tag == "reference":
+                monkeypatch.setattr(experiments, "train", train_reference.train)
+            spec = experiments.desk_spec(out_dir=tmp_path / tag, **{**common, **overrides})
+            *runs, _ = experiments.write_experiment(spec, experiments.run_experiment(spec))
+            written.append([path.read_bytes() for path in runs])
+        assert written[0] == written[1]
