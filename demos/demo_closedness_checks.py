@@ -12,16 +12,20 @@ from sparse_closure import (
 )
 
 print("=" * 72)
-print("1. A dense two-layer pattern (input 5, hidden 4, output 3)")
+print("1. Dense two-layer patterns: one group of equal rank-one supports")
 print("=" * 72)
-pattern = dense_pattern((5, 4, 3))
-verdict = closedness_verdict(pattern)
-print(f"verdict: {verdict.status.value} (rule: {verdict.rule})")
-print("every product of a 3x4 and a 4x5 matrix has rank at most 3, and")
-print("bounded-rank matrix sets are closed, so training always has a minimizer.\n")
+print("hidden neuron k adds the rank-one matrices on the rectangle R_k x C_k")
+print("(R_k: column k of the second mask, C_k: row k of the first); m neurons")
+print("on one rectangle add the matrices of rank at most m on it.")
+for dims in ((5, 4, 3), (5, 2, 3)):
+    verdict = closedness_verdict(dense_pattern(dims))
+    print(f"dense {dims}: {verdict.status.value} (rule: {verdict.rule})")
+print("with 4 neurons on a 3x5 rectangle every 3x5 matrix is reached (a coordinate")
+print("subspace); with 2 it is the 3x5 matrices of rank at most 2.  Both sets are")
+print("closed, so training always has a minimizer.\n")
 
 print("=" * 72)
-print("2. A scalar-output pattern with arbitrary sparsity")
+print("2. Scalar output and butterfly supports: disjoint rank-one blocks")
 print("=" * 72)
 pattern = validate_pattern(
     {
@@ -33,9 +37,26 @@ pattern = validate_pattern(
     }
 )
 verdict = closedness_verdict(pattern)
-print(f"verdict: {verdict.status.value} (rule: {verdict.rule})")
-print("with one output, the realizable linear maps form a coordinate subspace")
-print("(the union of first-layer row supports over connected neurons).\n")
+print(f"scalar output: {verdict.status.value} (rule: {verdict.rule})")
+print("with one output each rectangle is one row, which its neuron fills")
+print("entirely: the set is the coordinate subspace on the union of first-layer")
+print("row supports over connected neurons.")
+butterfly = validate_pattern(
+    {
+        "dims": [4, 4, 4],
+        "masks": [
+            [[k, c] for k in range(1, 5) for c in range(1, 5) if (k - 1) // 2 == (c - 1) // 2],
+            [[r, k] for r in range(1, 5) for k in range(1, 5) if r % 2 == k % 2],
+        ],
+    }
+)
+verdict = closedness_verdict(butterfly)
+print(f"two-factor butterfly of size 4: {verdict.status.value} (rule: {verdict.rule})")
+print("its four neurons hold rank-one blocks on pairwise disjoint 2x2 rectangles.")
+print("The rule: a group whose neuron count is below its rectangle's shorter")
+print("side may overlap no other rectangle.  Then the set is a direct sum of")
+print("closed sets on disjoint coordinates, so it is closed (Le, Riccietti &")
+print("Gribonval, SIAM J. Matrix Anal. Appl., 2023).\n")
 
 print("=" * 72)
 print("3. The lower-upper triangular pattern: the canonical failure")

@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "closure": ("Closedness", "ClosednessVerdict", "check_theorem5_conditions", "closedness_verdict",
                 "closure_gap_witness_lu", "lu_membership"),
-    "datasets": ("Grid", "Hyperplane", "LabeledDataset", "build_bad_dataset", "edge_intersects",
-                 "find_free_hypercube", "theoretical_resolution"),
+    "datasets": ("Grid", "Hyperplane", "LabeledDataset", "build_bad_dataset", "find_free_hypercube",
+                 "theoretical_resolution"),
     "infimum": ("InfimumResult", "SearchStats", "infimum_oracle"),
     "patterns": ("SparseFactors", "SupportPattern", "dense_pattern", "lu_pattern", "product",
-                 "restrict_to_hidden", "row_support_union", "validate_pattern"),
+                 "restrict_to_hidden", "validate_pattern"),
     "polyhedra": ("RationalPolyhedron", "affine_image", "contains", "drop_redundant",
                   "eliminate_variable", "project"),
     "relu": ("NetworkParams", "StackTrace", "TrainingConfig", "TrainingTrace", "forward", "init_params",

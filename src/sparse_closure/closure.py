@@ -1,9 +1,11 @@
 """Structural closedness rules for masked factorization sets.
 
-The decision procedure is a fixed-order rule dispatch; when no rule applies
-the honest answer is Unknown, which the command line can back with an
-emitted solver file (see sparse_closure.smt).  Verdicts are pure values: no
-call here writes a file.  Membership tests are exact rational, never float.
+The decision procedure is a fixed-order rule dispatch: one layer, the
+disjoint rank-one-block rule for two layers, the triangular lower-upper gap.
+When no rule applies the honest answer is Unknown, which the command line
+can back with an emitted solver file (see sparse_closure.smt).  Verdicts are
+pure values: no call here writes a file.  Membership tests are exact
+rational, never float.
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .patterns import (
-    SupportPattern,
-    compress_hidden,
-    is_lu_pattern,
-    row_support_union,
-)
+from .patterns import SupportPattern, compress_hidden, is_lu_pattern
 from .rational import RationalMatrix, matrix, rank, submatrix
 
 
@@ -31,8 +28,7 @@ class Closedness(enum.Enum):
 
 # rule identifiers, ordered; first match wins
 RULE_SINGLE_LAYER = "single-layer-coordinate-subspace"
-RULE_SCALAR_OUTPUT = "scalar-output-row-support"
-RULE_DENSE_RANK = "dense-bounded-rank"
+RULE_DISJOINT_BLOCKS = "disjoint-rank-one-blocks"
 RULE_LU_GAP = "lu-antidiagonal-gap"
 
 # the sufficient condition enumerates 2^N_1 hidden subsets; wider patterns
@@ -81,22 +77,68 @@ def closure_gap_witness_lu(d: int) -> RationalMatrix:
     )
 
 
+def _disjoint_blocks(pattern: SupportPattern):
+    """The block decomposition of a two-layer pattern, or None on an overlap.
+
+    Hidden neuron k adds the rank-one matrices u v^T with supp u in R_k
+    (column k of mask 2) and supp v in C_k (row k of mask 1).  Neurons with
+    an empty side add nothing; the others are grouped by (R, C), and a group
+    of m neurons adds the matrices on R x C of rank at most m.  A group with
+    m >= min(|R|, |C|) adds every matrix on R x C: a coordinate group.
+
+    Returns (coordinate, bounded), each a list of (rows, cols, neurons) with
+    rows and cols as bitmasks and neurons the group's hidden indices, when
+    every bounded group's rectangle is disjoint from every other group's;
+    None at the first overlap.
+    """
+    n1 = pattern.dims[1]
+    rows, cols = [0] * n1, [0] * n1
+    for r, k in pattern.masks[1]:
+        rows[k] |= 1 << r
+    for k, c in pattern.masks[0]:
+        cols[k] |= 1 << c
+    groups = {}
+    for k, key in enumerate(zip(rows, cols)):
+        if key in groups:
+            groups[key].append(k)
+        else:
+            groups[key] = [k]
+    coordinate, bounded = [], []
+    for (r, c), neurons in groups.items():
+        # a bounded group meets no earlier group, a coordinate one no earlier bounded one
+        if r and c:
+            small = len(neurons) < min(r.bit_count(), c.bit_count())
+            for r2, c2, _ in coordinate + bounded if small else bounded:
+                if r & r2 and c & c2:
+                    return None
+            (bounded if small else coordinate).append((r, c, neurons))
+    return coordinate, bounded
+
+
 def closedness_verdict(pattern: SupportPattern) -> ClosednessVerdict:
     """Fixed-order structural dispatch.
 
     1. one layer: the set is a coordinate subspace, closed;
-    2. two layers, scalar output: isomorphic to a coordinate subspace, closed;
-    3. two layers, both masks full: all matrices of bounded rank, closed;
-    4. the triangular lower-upper pattern: not closed, anti-diagonal witness;
-    5. otherwise unknown (smt.emit_qe_sentence writes the sentence that
+    2. two layers whose hidden neurons have disjoint rank-one supports
+       (see _disjoint_blocks): closed.  The coordinate groups together add
+       the coordinate subspace on the union of their rectangles, and the
+       other groups bounded-rank sets on rectangles disjoint from it and
+       from each other.  A direct sum of closed sets on disjoint coordinates
+       is closed, and the best approximation splits by blocks: the
+       disjoint/identical-support regime of Le, Riccietti & Gribonval,
+       "Spurious valleys, NP-hardness, and tractability of sparse matrix
+       factorization with fixed support" (SIAM J. Matrix Anal. Appl.,
+       2023).  Scalar output (|R| = 1), dense layers (one group) and the
+       two-factor butterfly supports are such patterns;
+    3. the triangular lower-upper pattern: not closed, anti-diagonal witness
+       (for d >= 2 its first and last neurons overlap, so rule 2 fails);
+    4. otherwise unknown (smt.emit_qe_sentence writes the sentence that
        would decide it).
     """
     if pattern.depth == 1:
         return ClosednessVerdict(Closedness.CLOSED, rule=RULE_SINGLE_LAYER)
-    if pattern.depth == 2 and pattern.output_dim == 1:
-        return ClosednessVerdict(Closedness.CLOSED, rule=RULE_SCALAR_OUTPUT)
-    if pattern.depth == 2 and pattern.is_full(0) and pattern.is_full(1):
-        return ClosednessVerdict(Closedness.CLOSED, rule=RULE_DENSE_RANK)
+    if pattern.depth == 2 and _disjoint_blocks(pattern) is not None:
+        return ClosednessVerdict(Closedness.CLOSED, rule=RULE_DISJOINT_BLOCKS)
     if is_lu_pattern(pattern) and pattern.dims[0] >= 2:
         return ClosednessVerdict(
             Closedness.NOT_CLOSED,
@@ -136,8 +178,9 @@ def check_theorem5_conditions(
     Enumerates all 2^{N_1} - 1 nonempty hidden subsets, so N_1 is capped
     (default DEFAULT_MAX_HIDDEN, override consciously).  Each subset's
     pattern is compressed onto its hidden neurons, which drops every
-    connection through the others, before the rule dispatch; that is what
-    lets the scalar-output and bounded-rank rules recognize it.
+    connection through the others, before the rule dispatch; a subset whose
+    neurons have disjoint rank-one supports is closed by rule 2 of
+    closedness_verdict.
     """
     if pattern.depth != 2:
         raise ValueError("the sufficient condition applies to two-layer patterns")
@@ -158,20 +201,3 @@ def check_theorem5_conditions(
         subset_verdicts=tuple(verdicts),
         holds=condition1 and all(v.status is Closedness.CLOSED for v in verdicts),
     )
-
-
-def scalar_output_projection_distance(a, pattern: SupportPattern) -> float:
-    """Exact infimum for scalar-output two-layer patterns.
-
-    The factorization set is the coordinate subspace on the row-support
-    union, so the distance from a (1 x N_0) target is the norm of its
-    entries outside that set.
-    """
-    if pattern.depth != 2 or pattern.output_dim != 1:
-        raise ValueError("closed-form distance requires a scalar-output two-layer pattern")
-    m = matrix(a)
-    if len(m) != 1 or len(m[0]) != pattern.input_dim:
-        raise ValueError("target must be 1 x N_0")
-    support = row_support_union(pattern)
-    sq = sum(float(x) ** 2 for j, x in enumerate(m[0]) if j not in support)
-    return sq**0.5

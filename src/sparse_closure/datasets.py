@@ -89,40 +89,22 @@ def hyperplane(normal, offset) -> Hyperplane:
     return Hyperplane(normal=vector(normal), offset=as_fraction(offset))
 
 
-def _box_is_cut(planes, base, axes, resolution: int) -> bool:
-    """Does a plane meet the box base + [0, 1/p] e_i (i in axes) without
-    containing it?  On the box, p times its value spans p f(base) + [sum of
-    its negative, sum of its positive normal entries on axes]: the plane
-    meets the box iff that range holds 0, and contains it iff it is {0}."""
+def cube_is_free(planes, base, resolution: int) -> bool:
+    """No plane cuts the cube base + [0, 1/p]^N, meeting it without
+    containing it.  On the cube, p times a plane's value spans p f(base) +
+    [sum of its negative, sum of its positive normal entries]; the cube is
+    free iff each such range lies strictly on one side of 0 (a nonzero
+    normal makes it no single value), which is the answer an edge-by-edge
+    walk gives."""
     if resolution < 1:
         raise ValueError("resolution must be positive")
     for plane in planes:
         scaled = plane.evaluate(base) * resolution
-        steps = [plane.normal[i] for i in axes]
-        low, high = scaled + sum(min(c, 0) for c in steps), scaled + sum(max(c, 0) for c in steps)
+        low = scaled + sum(min(c, 0) for c in plane.normal)
+        high = scaled + sum(max(c, 0) for c in plane.normal)
         if low <= 0 <= high and low != high:
-            return True
-    return False
-
-
-def edge_intersects(plane: Hyperplane, base, axis: int, resolution: int) -> bool:
-    """Does the plane cross the grid edge from base to base + e_axis/p?
-
-    True when the endpoint evaluations have opposite signs or exactly one of
-    them is zero; an edge lying entirely inside the plane (both zero) does
-    not count as intersecting.
-    """
-    n = len(plane.normal)
-    if not (0 <= axis < n):
-        raise ValueError(f"axis {axis} out of range for dimension {n}")
-    return _box_is_cut([plane], base, [axis], resolution)
-
-
-def cube_is_free(planes, base, resolution: int) -> bool:
-    """No plane cuts the cube at base: each plane's range over its vertices
-    lies strictly on one side of 0 (a nonzero normal makes it no single
-    value), which is the answer edge_intersects gives on every edge."""
-    return not _box_is_cut(planes, base, range(len(base)), resolution)
+            return False
+    return True
 
 
 def find_free_hypercube(planes, resolution: int, dimension: int):

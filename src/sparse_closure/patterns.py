@@ -213,19 +213,6 @@ def compress_hidden(pattern: SupportPattern, hidden: Sequence[int]) -> SupportPa
     return SupportPattern(dims=(pattern.dims[0], len(kept), pattern.dims[2]), masks=(first, second))
 
 
-def row_support_union(pattern: SupportPattern) -> frozenset[int]:
-    """Input coordinates reachable through some output-connected hidden neuron.
-
-    For a two-layer pattern this is the union of first-layer row supports
-    over hidden neurons that appear in the second mask; the factorization
-    set of a scalar-output pattern is the coordinate subspace on this set.
-    """
-    if pattern.depth != 2:
-        raise ValueError("row support union is defined for two-layer patterns")
-    connected = {c for _, c in pattern.masks[1]}
-    return frozenset(c for r, c in pattern.masks[0] if r in connected)
-
-
 @dataclass(frozen=True)
 class SparseFactors:
     """A concrete factor tuple respecting a pattern's masks.

@@ -359,18 +359,23 @@ def test_criterion_8_verdict_correctness(tmp_path, capsys):
     for d in (2, 3, 4):
         ok &= run_check(lu_pattern(d)) == 1
 
-    # no rule applies: unknown, and the emitted sentence has the right shape
+    # no rule applies: unknown, and the emitted sentence has the right shape.
+    # The two-layer ones hold rank-one blocks that overlap without being
+    # equal: {0,1} x {0,1} and {1,2} x {1,2}; {0,1} x {0,1} and {0,1} x {1,2}
     unknowns = [
         dense_pattern((2, 2, 2, 2)),
         SupportPattern(
-            dims=(2, 2, 2),
-            masks=(frozenset({(0, 0), (1, 1)}), frozenset({(0, 0), (1, 1)})),
+            dims=(3, 2, 3),
+            masks=(
+                frozenset({(0, 0), (0, 1), (1, 1), (1, 2)}),
+                frozenset({(0, 0), (1, 0), (1, 1), (2, 1)}),
+            ),
         ),
         SupportPattern(
             dims=(3, 2, 2),
             masks=(
-                frozenset({(0, 0), (0, 1), (1, 2)}),
-                frozenset({(0, 0), (1, 0), (1, 1)}),
+                frozenset({(0, 0), (0, 1), (1, 1), (1, 2)}),
+                frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}),
             ),
         ),
     ]

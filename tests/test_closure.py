@@ -1,18 +1,25 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from block_reference import bit_indices, butterfly_pattern
 from check_report import report_to_json
 
 from sparse_closure.closure import (
+    RULE_DISJOINT_BLOCKS,
+    RULE_LU_GAP,
     Closedness,
     ClosednessVerdict,
+    _disjoint_blocks,
     check_theorem5_conditions,
     closedness_verdict,
+    closure_gap_witness_lu,
     lu_membership,
-    scalar_output_projection_distance,
 )
 from sparse_closure.patterns import (
     SupportPattern,
     dense_pattern,
+    is_lu_pattern,
     lu_pattern,
     validate_pattern,
 )
@@ -40,12 +47,16 @@ class TestClosednessVerdict:
             )
             v = closedness_verdict(pattern)
             assert v.status is Closedness.CLOSED
-            assert v.rule == "scalar-output-row-support"
+            assert v.rule == "disjoint-rank-one-blocks"
 
-    def test_dense_shallow_closed_by_rank_rule(self):
+    def test_dense_shallow_closed_by_block_rule(self):
+        # one group of 4 neurons on a 3 x 5 rectangle: a coordinate group
         v = closedness_verdict(dense_pattern((5, 4, 3)))
         assert v.status is Closedness.CLOSED
-        assert v.rule == "dense-bounded-rank"
+        assert v.rule == "disjoint-rank-one-blocks"
+        # one group of 2 neurons on a 3 x 5 rectangle: rank at most 2
+        assert _disjoint_blocks(dense_pattern((5, 2, 3))) == ([], [(0b111, 0b11111, [0, 1])])
+        assert closedness_verdict(dense_pattern((5, 2, 3))).rule == "disjoint-rank-one-blocks"
 
     def test_single_layer_closed(self):
         pattern = validate_pattern({"dims": [3, 2], "masks": [[[1, 1], [2, 3]]]})
@@ -59,11 +70,15 @@ class TestClosednessVerdict:
         assert v.rule is None
 
     def test_unknown_verdict_writes_nothing(self, tmp_path, monkeypatch):
-        # the verdict is a value; writing the solver sentence is the CLI's job
+        # the verdict is a value; writing the solver sentence is the CLI's job.
+        # Two rank-one blocks, {0,1} x {0,1} and {1,2} x {1,2}, share (1, 1)
         monkeypatch.chdir(tmp_path)
         pattern = SupportPattern(
-            dims=(2, 2, 2),
-            masks=(frozenset({(0, 0), (1, 1)}), frozenset({(0, 0), (1, 1)})),
+            dims=(3, 2, 3),
+            masks=(
+                frozenset({(0, 0), (0, 1), (1, 1), (1, 2)}),
+                frozenset({(0, 0), (1, 0), (1, 1), (2, 1)}),
+            ),
         )
         assert closedness_verdict(pattern) == ClosednessVerdict(Closedness.UNKNOWN)
         assert list(tmp_path.iterdir()) == []
@@ -73,11 +88,6 @@ class TestClosednessVerdict:
             v = closedness_verdict(lu_pattern(d))
             assert v.status is Closedness.NOT_CLOSED
             assert lu_membership(v.witness) is False
-
-    def test_rule_order_scalar_before_dense(self):
-        # dense scalar-output pattern satisfies both; the scalar rule fires first
-        v = closedness_verdict(dense_pattern((4, 3, 1)))
-        assert v.rule == "scalar-output-row-support"
 
 
 class TestSufficientCondition:
@@ -133,13 +143,97 @@ class TestSufficientCondition:
         assert data["subsets"][0]["hidden"] == [1]  # 1-based externally
 
 
-class TestScalarProjection:
-    def test_distance_is_norm_outside_support(self):
+class TestDisjointBlocks:
+    def test_one_neuron_to_one_output_is_a_coordinate_group(self):
+        pattern = SupportPattern(dims=(3, 2, 1), masks=(frozenset({(0, 1)}), frozenset({(0, 0)})))
+        assert _disjoint_blocks(pattern) == ([(0b1, 0b10, [0])], [])
+
+    def test_neurons_without_both_sides_are_dropped(self):
+        pattern = SupportPattern(dims=(3, 2, 1), masks=(frozenset({(0, 1)}), frozenset()))
+        assert _disjoint_blocks(pattern) == ([], [])
+        assert closedness_verdict(pattern).rule == RULE_DISJOINT_BLOCKS
+
+    def test_coordinate_groups_may_overlap(self):
+        # neuron 0 on {0} x {0,1}, neuron 1 on {0,1} x {0}: both share (0, 0)
         pattern = SupportPattern(
-            dims=(4, 2, 1),
-            masks=(frozenset({(0, 0), (1, 2)}), frozenset({(0, 0), (0, 1)})),
+            dims=(2, 2, 2),
+            masks=(frozenset({(0, 0), (0, 1), (1, 0)}), frozenset({(0, 0), (0, 1), (1, 1)})),
         )
-        a = np.array([[1.0, -2.0, 3.0, 0.5]])
-        # support union is {0, 2}; residual picks up coordinates 1 and 3
-        expected = float(np.sqrt(4.0 + 0.25))
-        assert scalar_output_projection_distance(a, pattern) == pytest.approx(expected, abs=1e-15)
+        assert _disjoint_blocks(pattern) == ([(0b1, 0b11, [0]), (0b11, 0b1, [1])], [])
+
+    def test_equal_supports_form_one_bounded_rank_group(self):
+        # two neurons on the whole 3 x 3 rectangle: rank at most 2
+        pattern = SupportPattern(
+            dims=(3, 3, 3),
+            masks=(frozenset((r, c) for r in (0, 2) for c in range(3)),
+                   frozenset((r, c) for r in range(3) for c in (0, 2))),
+        )
+        assert _disjoint_blocks(pattern) == ([], [(0b111, 0b111, [0, 2])])
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_lu_never_passes(self, d):
+        # neuron 0 holds a rank-one block on the whole matrix, neuron d-1 the
+        # coordinate (d-1, d-1)
+        assert _disjoint_blocks(lu_pattern(d)) is None
+        assert closedness_verdict(lu_pattern(d)).rule == RULE_LU_GAP
+
+
+def parent_verdict(pattern):
+    """The dispatch before the rank-one-block rule: one layer, scalar output
+    and dense two layers closed, lu(d) for d >= 2 not closed."""
+    if pattern.depth == 1:
+        return ClosednessVerdict(Closedness.CLOSED, rule="single-layer-coordinate-subspace")
+    if pattern.depth == 2 and pattern.output_dim == 1:
+        return ClosednessVerdict(Closedness.CLOSED, rule="scalar-output-row-support")
+    if pattern.depth == 2 and pattern.is_full(0) and pattern.is_full(1):
+        return ClosednessVerdict(Closedness.CLOSED, rule="dense-bounded-rank")
+    if is_lu_pattern(pattern) and pattern.dims[0] >= 2:
+        return ClosednessVerdict(Closedness.NOT_CLOSED, rule=RULE_LU_GAP,
+                                 witness=closure_gap_witness_lu(pattern.dims[0]))
+    return ClosednessVerdict(Closedness.UNKNOWN)
+
+
+class TestAgainstTheParentDispatch:
+    def test_decided_verdicts_keep_their_status(self):
+        rng = np.random.default_rng(27)
+        panel = [lu_pattern(d) for d in range(1, 6)]
+        for _ in range(2_400):
+            dims = tuple(int(rng.integers(1, 6)) for _ in range(3))
+            panel.append(SupportPattern(dims=dims, masks=(
+                random_mask(rng, dims[1], dims[0], rng.uniform(0.3, 1.0)),
+                random_mask(rng, dims[2], dims[1], rng.uniform(0.3, 1.0)),
+            )))
+        counts = Counter()
+        for pattern in panel:
+            old, new = parent_verdict(pattern), closedness_verdict(pattern)
+            scalar = pattern.output_dim == 1
+            dense = pattern.is_full(0) and pattern.is_full(1)
+            if old.status is not Closedness.UNKNOWN:
+                assert new.status is old.status, pattern
+                assert new.witness == old.witness
+            if scalar or dense:
+                assert new.status is Closedness.CLOSED, pattern
+            counts[old.status, new.status] += 1
+            counts["scalar"] += scalar
+            counts["dense"] += dense and not scalar
+        assert counts[Closedness.NOT_CLOSED, Closedness.NOT_CLOSED] == 4
+        assert counts["scalar"] > 300 and counts["dense"] > 50
+        # the rule decides some patterns the parent left open, and not all
+        assert counts[Closedness.UNKNOWN, Closedness.CLOSED] > 100
+        assert counts[Closedness.UNKNOWN, Closedness.UNKNOWN] > 100
+
+
+class TestButterfly:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_closed_on_the_pattern_and_every_subset(self, p):
+        pattern = butterfly_pattern(p)
+        assert closedness_verdict(pattern).rule == RULE_DISJOINT_BLOCKS
+        # p^2 rank-one blocks on p x p rectangles, pairwise disjoint
+        coordinate, bounded = _disjoint_blocks(pattern)
+        assert coordinate == [] and len(bounded) == p * p
+        assert all(len(bit_indices(r)) == len(bit_indices(c)) == p for r, c, _ in bounded)
+        report = check_theorem5_conditions(pattern)
+        assert len(report.subset_verdicts) == 2 ** (p * p) - 1
+        assert all(sv.rule == RULE_DISJOINT_BLOCKS for sv in report.subset_verdicts)
+        # the output mask is not full, so the sufficient condition fails
+        assert report.holds is False

@@ -22,7 +22,6 @@ from sparse_closure.datasets import (
     build_bad_dataset,
     cube_is_free,
     dataset_resolution,
-    edge_intersects,
     find_free_hypercube,
     hyperplane,
     theoretical_resolution,
@@ -144,39 +143,37 @@ def random_target(rng, n_out, n_in):
     ]
 
 
-class TestEdgeIntersects:
+class TestEdgeIsCut:
+    """The edge predicate of the edge-walk reference, on hand cases."""
+
     def test_sign_change_across_half(self):
         plane = hyperplane([1], Fraction(-1, 2))
-        assert edge_intersects(plane, (Fraction(1, 3),), 0, 3) is True
+        assert edge_walk.edge_is_cut(plane, (Fraction(1, 3),), 0, 3) is True
 
     def test_edge_inside_plane_does_not_count(self):
         # plane x2 = 0, edge along axis 1 at x2 = 0: both endpoints evaluate to 0
         plane = hyperplane([0, 1], 0)
-        assert edge_intersects(plane, (Fraction(0), Fraction(0)), 0, 3) is False
+        assert edge_walk.edge_is_cut(plane, (Fraction(0), Fraction(0)), 0, 3) is False
 
     def test_strictly_one_side(self):
         plane = hyperplane([1], Fraction(-1, 2))
-        assert edge_intersects(plane, (Fraction(0),), 0, 3) is False
+        assert edge_walk.edge_is_cut(plane, (Fraction(0),), 0, 3) is False
 
     def test_touching_single_endpoint_counts(self):
         plane = hyperplane([1], Fraction(-1, 3))
-        assert edge_intersects(plane, (Fraction(0),), 0, 3) is True
+        assert edge_walk.edge_is_cut(plane, (Fraction(0),), 0, 3) is True
 
-    def test_axis_out_of_range(self):
-        with pytest.raises(ValueError, match="axis"):
-            edge_intersects(hyperplane([1], 0), (Fraction(0),), 1, 3)
 
+class TestFreeHypercube:
     def test_point_of_another_dimension_refused(self):
         # zip would evaluate x1 + x2 - 3/2 on the prefix (1,), giving -1/2
         plane = hyperplane([1, 1], Fraction(-3, 2))
         with pytest.raises(ValueError, match="point has 1 coordinates, the normal has 2"):
             plane.evaluate((Fraction(1),))
         with pytest.raises(ValueError, match="point has 1 coordinates, the normal has 2"):
-            edge_intersects(plane, (Fraction(0),), 0, 3)
+            cube_is_free([plane], (Fraction(0),), 3)
         assert plane.evaluate((Fraction(1), Fraction(1, 2))) == 0
 
-
-class TestFreeHypercube:
     def test_one_dimensional_first_free_base(self):
         # plane at 1/2 cuts only the middle cell of [0,1] at resolution 3:
         # first free base in lexicographic order is 0
@@ -246,7 +243,7 @@ class TestFreeHypercube:
                         point = [None, None]
                         point[axis] = Fraction(i, p)
                         point[other] = Fraction(fixed, p)
-                        if edge_intersects(plane, tuple(point), axis, p):
+                        if edge_walk.edge_is_cut(plane, tuple(point), axis, p):
                             count += 1
                     assert count <= 2
 
@@ -313,8 +310,6 @@ class TestRangeTestMatchesEdgeWalk:
         for resolution in (0, -3):
             with pytest.raises(ValueError, match="resolution must be positive"):
                 cube_is_free([plane], base, resolution)
-            with pytest.raises(ValueError, match="resolution must be positive"):
-                edge_intersects(plane, base, 0, resolution)
 
 
 class TestTheoreticalResolution:

@@ -3,9 +3,10 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
+from block_reference import best_approximation, block_diagonal_pattern, butterfly_pattern
 
 from sparse_closure import infimum
-from sparse_closure.closure import closure_gap_witness_lu, scalar_output_projection_distance
+from sparse_closure.closure import _disjoint_blocks, closure_gap_witness_lu
 from sparse_closure.infimum import SearchStats, infimum_oracle
 from sparse_closure.patterns import (
     SupportPattern,
@@ -68,20 +69,76 @@ class TestGapTargets:
         assert result.max_factor_norm > 1e3
 
 
-class TestScalarOutputProjection:
-    def test_distance_matches_closed_form(self):
+def scalar_output_panel(rng):
+    for _ in range(6):
+        n0, n1 = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        first = frozenset(
+            (r, c) for r in range(n1) for c in range(n0) if rng.random() < 0.5
+        )
+        second = frozenset((0, c) for c in range(n1) if rng.random() < 0.7)
+        yield SupportPattern(dims=(n0, n1, 1), masks=(first, second))
+
+
+def closed_by_rule_panel(rng, count=8):
+    """Random two-layer patterns (dims 1-5, density 0.3-1) that the
+    rank-one-block rule closes, with more than one output."""
+    while count:
+        dims = tuple(int(rng.integers(1, 6)) for _ in range(3))
+        density = rng.uniform(0.3, 1.0)
+        masks = tuple(
+            frozenset((r, c) for r in range(dims[i + 1]) for c in range(dims[i]) if rng.random() < density)
+            for i in range(2)
+        )
+        pattern = SupportPattern(dims=dims, masks=masks)
+        if dims[2] > 1 and _disjoint_blocks(pattern) is not None:
+            count -= 1
+            yield pattern
+
+
+PANELS = {
+    "scalar-output": scalar_output_panel,
+    "block-diagonal": lambda rng: [
+        block_diagonal_pattern([(3, 1, 2), (2, 1, 3), (3, 2, 3)]),
+        block_diagonal_pattern([(2, 2, 4), (1, 1, 1), (4, 1, 2)]),
+    ],
+    "butterfly-4": lambda rng: [butterfly_pattern(2)],
+    "butterfly-9": lambda rng: [butterfly_pattern(3)],
+    "random-closed": closed_by_rule_panel,
+}
+
+
+class TestExactReference:
+    """infimum_oracle graded against the exact best approximation of
+    block_reference on patterns the rank-one-block rule closes, with random
+    targets (mostly outside the set)."""
+
+    @pytest.mark.parametrize("panel", sorted(PANELS))
+    def test_search_meets_the_exact_distance(self, panel):
         rng = np.random.default_rng(31)
-        for trial in range(6):
-            n0, n1 = int(rng.integers(2, 7)), int(rng.integers(1, 5))
-            first = frozenset(
-                (r, c) for r in range(n1) for c in range(n0) if rng.random() < 0.5
-            )
-            second = frozenset((0, c) for c in range(n1) if rng.random() < 0.7)
-            pattern = SupportPattern(dims=(n0, n1, 1), masks=(first, second))
-            target = rng.uniform(-2, 2, size=(1, n0))
+        for trial, pattern in enumerate(PANELS[panel](rng)):
+            target = rng.normal(size=(pattern.output_dim, pattern.input_dim))
+            scale = 1.0 + float(np.linalg.norm(target))
+            exact, factors = best_approximation(target, pattern)
+            attained = float(np.linalg.norm(target - product(factors)))
+            assert abs(attained - exact) <= 1e-12 * scale
             result = infimum_oracle(target, pattern, budget=8_000, seed=trial)
-            expected = scalar_output_projection_distance(target, pattern)
-            assert result.distance == pytest.approx(expected, abs=1e-9)
+            # nothing in the set is closer than the exact distance ...
+            assert result.distance >= exact - 1e-9 * scale
+            # ... and the search gets within 1e-6 of it, relatively
+            assert result.distance <= exact * (1 + 1e-6) + 1e-9 * scale
+
+    def test_scalar_output_distance_is_the_norm_outside_the_support(self):
+        pattern = SupportPattern(
+            dims=(4, 2, 1),
+            masks=(frozenset({(0, 0), (1, 2)}), frozenset({(0, 0), (0, 1)})),
+        )
+        # the reachable inputs are {0, 2}; the residual picks up 1 and 3
+        distance, _ = best_approximation(np.array([[1.0, -2.0, 3.0, 0.5]]), pattern)
+        assert distance == pytest.approx(float(np.sqrt(4.0 + 0.25)), abs=1e-15)
+
+    def test_a_pattern_the_rule_leaves_open_is_refused(self):
+        with pytest.raises(ValueError, match="rank-one-block rule"):
+            best_approximation(np.eye(2), lu_pattern(2))
 
 
 class TestValidation:

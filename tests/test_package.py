@@ -15,10 +15,10 @@ PUBLIC = """
 Closedness ClosednessVerdict Grid Hyperplane InfimumResult LabeledDataset NetworkParams
 QeSentenceStats RationalPolyhedron SearchStats SparseFactors StackTrace SupportPattern
 TrainingConfig TrainingTrace affine_image build_bad_dataset check_theorem5_conditions
-closedness_verdict closure_gap_witness_lu contains dense_pattern drop_redundant edge_intersects
+closedness_verdict closure_gap_witness_lu contains dense_pattern drop_redundant
 eliminate_variable emit_qe_sentence find_free_hypercube forward infimum_oracle init_params
 jacobian_at loss_and_grad lu_membership lu_pattern metrics normalize_first_layer product project
-restrict_to_hidden row_support_union sgd_step theoretical_resolution train validate_pattern
+restrict_to_hidden sgd_step theoretical_resolution train validate_pattern
 """.split()
 
 
@@ -86,8 +86,6 @@ def test_no_module_imports_a_name_it_never_uses():
 # that deletes it.  Entries only ever leave this table.
 CONSUMERS = {
     ("closure", "lu_membership"): "criterion 6",
-    ("closure", "scalar_output_projection_distance"): "tests only; ROADMAP item 10 deletes it",
-    ("datasets", "edge_intersects"): "tests only; ROADMAP item 21 deletes it or gives it a caller",
     ("datasets", "find_free_hypercube"): "criterion 5, demo_pathological_dataset",
     ("datasets", "hyperplane"): "criterion 5, demo_pathological_dataset",
     ("experiments", "run_single_seed"): "bench/workloads.py probe; ROADMAP item 11b deletes it",

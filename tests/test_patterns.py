@@ -16,7 +16,6 @@ from sparse_closure.patterns import (
     product,
     random_factors,
     restrict_to_hidden,
-    row_support_union,
     validate_pattern,
 )
 
@@ -98,13 +97,14 @@ class TestValidatePattern:
 
 class TestMasksGivenAsLists:
     # is_full and is_lu_pattern count mask pairs, so a repeated pair in a list
-    # mask once made lu(2) look dense and a rank-one pattern look like lu(2)
+    # mask once made lu(2) look dense and a rank-one pattern look like lu(2);
+    # the rank-one pattern is one rank-one block on the whole matrix, closed
     LU2 = [[(0, 0), (0, 1), (1, 1), (1, 1)], [(0, 0), (1, 0), (1, 1), (0, 0)]]
     RANK_ONE = [[[0, 0], [0, 0], [0, 1]], [[0, 0], [1, 0], [1, 1]]]
 
     @pytest.mark.parametrize("masks, status", [
         (LU2, Closedness.NOT_CLOSED),
-        (RANK_ONE, Closedness.UNKNOWN),
+        (RANK_ONE, Closedness.CLOSED),
     ], ids=["lu2", "rank-one"])
     def test_list_forms_equal_their_frozenset_forms(self, masks, status):
         given = SupportPattern(dims=[2, 2, 2], masks=masks)
@@ -196,56 +196,6 @@ class TestRestrictToHidden:
             direct = restrict_to_hidden(pattern, inner)
             nested = restrict_to_hidden(restrict_to_hidden(pattern, s1), inner)
             assert direct == nested
-
-
-class TestRowSupportUnion:
-    def test_direct_union(self):
-        pattern = SupportPattern(
-            dims=(3, 2, 1),
-            masks=(frozenset({(0, 1)}), frozenset({(0, 0)})),
-        )
-        assert row_support_union(pattern) == frozenset({1})
-
-    def test_no_connected_neurons(self):
-        pattern = SupportPattern(
-            dims=(3, 2, 1), masks=(frozenset({(0, 1)}), frozenset())
-        )
-        assert row_support_union(pattern) == frozenset()
-
-    def test_lu_scalarized_first_row(self):
-        # only hidden neuron 1 connected: union is the first upper-triangular row
-        d = 2
-        upper = frozenset((i, j) for i in range(d) for j in range(d) if i <= j)
-        pattern = SupportPattern(dims=(d, d, d), masks=(upper, frozenset({(0, 0)})))
-        assert row_support_union(pattern) == frozenset({0, 1})
-
-    def test_monotone_under_mask_inclusion(self):
-        rng = np.random.default_rng(29)
-        for _ in range(30):
-            pattern = random_two_layer(rng)
-            h_small = row_support_union(pattern)
-            full0 = [
-                (r, c)
-                for r in range(pattern.dims[1])
-                for c in range(pattern.dims[0])
-                if (r, c) not in pattern.masks[0]
-            ]
-            full1 = [
-                (r, c)
-                for r in range(pattern.dims[2])
-                for c in range(pattern.dims[1])
-                if (r, c) not in pattern.masks[1]
-            ]
-            extra0 = set(map(tuple, rng.permutation(full0)[: len(full0) // 2])) if full0 else set()
-            extra1 = set(map(tuple, rng.permutation(full1)[: len(full1) // 2])) if full1 else set()
-            bigger = SupportPattern(
-                dims=pattern.dims,
-                masks=(
-                    pattern.masks[0] | {(int(r), int(c)) for r, c in extra0},
-                    pattern.masks[1] | {(int(r), int(c)) for r, c in extra1},
-                ),
-            )
-            assert h_small <= row_support_union(bigger)
 
 
 class TestProduct:

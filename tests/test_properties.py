@@ -5,7 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_closure.patterns import SupportPattern, restrict_to_hidden, row_support_union
+from sparse_closure.closure import RULE_DISJOINT_BLOCKS, closedness_verdict
+from sparse_closure.patterns import SupportPattern, restrict_to_hidden
 from sparse_closure.polyhedra import contains, eliminate_variable, polyhedron
 from sparse_closure.smt import emit_qe_sentence
 
@@ -73,15 +74,35 @@ def test_nested_restriction_collapses(pattern, data):
     assert direct == nested
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(two_layer_patterns(), st.data())
-def test_row_support_union_monotone(pattern, data):
-    n0, n1 = pattern.dims[0], pattern.dims[1]
-    extra = data.draw(
-        st.frozensets(st.tuples(st.integers(0, n1 - 1), st.integers(0, n0 - 1)), max_size=6)
-    )
-    bigger = SupportPattern(dims=pattern.dims, masks=(pattern.masks[0] | extra, pattern.masks[1]))
-    assert row_support_union(pattern) <= row_support_union(bigger)
+def test_verdict_invariant_under_permutations(pattern, data):
+    # relabelling inputs, hidden neurons or outputs maps the set onto an
+    # isomorphic one, and the rank-one-block rule must not see the labels.
+    # The LU matcher knows lu(d) only in its own labelling, so a permuted
+    # lu(d) is unknown and the property is stated for the rule's verdicts
+    n0, n1, n2 = pattern.dims
+    p0, p1, p2 = (data.draw(st.permutations(range(n))) for n in (n0, n1, n2))
+    permuted = SupportPattern(dims=pattern.dims, masks=(
+        frozenset((p1[r], p0[c]) for r, c in pattern.masks[0]),
+        frozenset((p2[r], p1[c]) for r, c in pattern.masks[1]),
+    ))
+    closed = closedness_verdict(pattern).rule == RULE_DISJOINT_BLOCKS
+    assert (closedness_verdict(permuted).rule == RULE_DISJOINT_BLOCKS) is closed
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_layer_patterns())
+def test_verdict_invariant_under_transposition(pattern):
+    # (W2 W1)^T = W1^T W2^T: the transposed set belongs to the reversed dims
+    # with the masks transposed and swapped (lu(d) is its own transpose)
+    first, second = pattern.masks
+    transposed = SupportPattern(dims=pattern.dims[::-1], masks=(
+        frozenset((c, r) for r, c in second),
+        frozenset((c, r) for r, c in first),
+    ))
+    before, after = closedness_verdict(pattern), closedness_verdict(transposed)
+    assert (after.status, after.rule) == (before.status, before.rule)
 
 
 @settings(max_examples=40, deadline=None)
