@@ -81,24 +81,21 @@ def _disjoint_blocks(pattern: SupportPattern):
     """The block decomposition of a two-layer pattern, or None on an overlap.
 
     Hidden neuron k adds the rank-one matrices u v^T with supp u in R_k
-    (column k of mask 2) and supp v in C_k (row k of mask 1).  Neurons with
-    an empty side add nothing; the others are grouped by (R, C), and a group
-    of m neurons adds the matrices on R x C of rank at most m.  A group with
-    m >= min(|R|, |C|) adds every matrix on R x C: a coordinate group.
+    (column k of mask 2) and supp v in C_k (row k of mask 1); the signatures
+    (R_k, C_k) are read from pattern.hidden_neurons, their one owner.
+    Neurons with an empty side add nothing; the others are grouped by
+    (R, C), and a group of m neurons adds the matrices on R x C of rank at
+    most m.  A group with m >= min(|R|, |C|) adds every matrix on R x C: a
+    coordinate group.
 
     Returns (coordinate, bounded), each a list of (rows, cols, neurons) with
     rows and cols as bitmasks and neurons the group's hidden indices, when
     every bounded group's rectangle is disjoint from every other group's;
     None at the first overlap.
     """
-    n1 = pattern.dims[1]
-    rows, cols = [0] * n1, [0] * n1
-    for r, k in pattern.masks[1]:
-        rows[k] |= 1 << r
-    for k, c in pattern.masks[0]:
-        cols[k] |= 1 << c
     groups = {}
-    for k, key in enumerate(zip(rows, cols)):
+    for k, neuron in enumerate(pattern.hidden_neurons):
+        key = neuron.signature
         if key in groups:
             groups[key].append(k)
         else:
@@ -180,7 +177,9 @@ def check_theorem5_conditions(
     pattern is compressed onto its hidden neurons, which drops every
     connection through the others, before the rule dispatch; a subset whose
     neurons have disjoint rank-one supports is closed by rule 2 of
-    closedness_verdict.
+    closedness_verdict.  The pattern's hidden_neurons index is built once;
+    each compressed subset is assembled from, and inherits, its kept
+    neurons' entries, so a subset costs what those neurons carry.
     """
     if pattern.depth != 2:
         raise ValueError("the sufficient condition applies to two-layer patterns")

@@ -135,12 +135,14 @@ def infimum_oracle(
 
 class _Entry(NamedTuple):
     """What the search needs of one factor, built once per search: its mask
-    entries, the identities that close the products on either side of it,
-    and the sides of its design block that no factor changes (the left side
-    of the last factor, the right side of the first), else None."""
+    entries (as rows and cols, and as flat indices into the raveled factor),
+    the identities that close the products on either side of it, and the
+    sides of its design block that no factor changes (the left side of the
+    last factor, the right side of the first), else None."""
 
     rows: np.ndarray
     cols: np.ndarray
+    flat: np.ndarray
     eye_out: np.ndarray
     eye_in: np.ndarray
     left: np.ndarray | None
@@ -152,7 +154,8 @@ def _plan(masks, shape):
     plan = []
     for i, mask in enumerate(masks):
         rows, cols = np.nonzero(mask)
-        entry = _Entry(rows, cols, eye_out, eye_in, None, None)
+        flat = np.flatnonzero(mask)
+        entry = _Entry(rows, cols, flat, eye_out, eye_in, None, None)
         plan.append(entry._replace(
             left=_left(entry, []) if i == len(masks) - 1 else None,
             right=_right(entry, []) if i == 0 else None,
@@ -203,9 +206,9 @@ def _sweep(A, xs, plan):
         if len(entry.rows) == 0:
             continue
         sol, *_ = np.linalg.lstsq(_design(xs, i, entry, A.shape), b, rcond=None)
-        x = np.zeros(xs[i].shape)
-        x[entry.rows, entry.cols] = sol
-        xs[i] = x
+        x = np.zeros(xs[i].size)
+        x[entry.flat] = sol
+        xs[i] = x.reshape(xs[i].shape)
     return xs
 
 
@@ -221,6 +224,13 @@ def _log_ratio(x, xp):
     np.maximum(r, 0.1, out=r)
     np.minimum(r, 10.0, out=r)
     return np.log(r, out=r)
+
+
+def _clipped_exp(step):
+    """exp(np.clip(step, -700, 700)), bit for bit, in step's own buffer."""
+    np.maximum(step, -700.0, out=step)
+    np.minimum(step, 700.0, out=step)
+    return np.exp(step, out=step)
 
 
 def _descend(A, xs, plan, budget, counts):
@@ -243,7 +253,7 @@ def _descend(A, xs, plan, budget, counts):
         while used + depth <= budget:
             # a step that overflows is rejected by the finiteness test below
             with np.errstate(over="ignore"):
-                cand = [x * np.exp(np.clip(lr * power, -700.0, 700.0)) for x, lr in zip(xs, log_ratios)]
+                cand = [x * _clipped_exp(lr * power) for x, lr in zip(xs, log_ratios)]
             cand = _sweep(A, cand, plan)
             used += depth
             cand_dist = _distance(A, cand)

@@ -12,7 +12,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .rational import matmul, matrix
 
@@ -22,6 +22,18 @@ if TYPE_CHECKING:
 Mask = frozenset[tuple[int, int]]
 
 
+class HiddenNeuron(NamedTuple):
+    """What one hidden neuron k of a two-layer pattern connects: the input
+    columns of row k of the first mask and the output rows of column k of
+    the second, sorted, and its signature (R_k, C_k), the same rows and
+    columns as bitmasks.  Nothing here names k itself, so a neuron's entry
+    is the same in every pattern compressed onto a subset that keeps it."""
+
+    cols: tuple[int, ...]
+    rows: tuple[int, ...]
+    signature: tuple[int, int]
+
+
 @dataclass(frozen=True)
 class SupportPattern:
     """Layer dimensions plus one index-pair mask per layer.
@@ -29,6 +41,12 @@ class SupportPattern:
     dims is (N_0, ..., N_L) from input to output; masks[i] constrains the
     weight matrix of layer i+1, of shape N_{i+1} x N_i, as a set of 0-based
     (row, col) pairs.  Instances are immutable and safe to share.
+
+    Every pattern built here is validated: the constructor checks every
+    pair.  The one exception is compress_hidden's child, whose pairs are
+    re-indexed from an already validated pattern and so are in bounds by
+    construction; it comes from _compressed, which skips the checks and
+    hands the child its slice of the parent's hidden_neurons.
     """
 
     dims: tuple[int, ...]
@@ -86,12 +104,43 @@ class SupportPattern:
             out.flags.writeable = False
         return arrays
 
+    @cached_property
+    def hidden_neurons(self) -> tuple[HiddenNeuron, ...]:
+        """One HiddenNeuron per hidden neuron of a two-layer pattern, built
+        on first use.  This is the one owner of the per-neuron signatures:
+        the rank-one-block rule reads them here, and compress_hidden builds
+        its child's masks from the kept neurons' entries alone."""
+        if self.depth != 2:
+            raise ValueError("hidden neurons are indexed for two-layer patterns")
+        n1 = self.dims[1]
+        cols, rows = [[] for _ in range(n1)], [[] for _ in range(n1)]
+        for k, c in self.masks[0]:
+            cols[k].append(c)
+        for r, k in self.masks[1]:
+            rows[k].append(r)
+        return tuple(
+            HiddenNeuron(tuple(sorted(c)), tuple(sorted(r)), (_bits(r), _bits(c)))
+            for c, r in zip(cols, rows)
+        )
+
+    @classmethod
+    def _compressed(cls, dims, masks, neurons) -> SupportPattern:
+        # trusted: masks hold in-bounds pairs re-indexed from a validated
+        # pattern, and neurons is their index
+        pattern = object.__new__(cls)
+        vars(pattern).update(dims=dims, masks=masks, hidden_neurons=neurons)
+        return pattern
+
     def is_full(self, i: int) -> bool:
         n_rows, n_cols = self.layer_shape(i)
         return len(self.masks[i]) == n_rows * n_cols
 
     def mask_sizes(self) -> tuple[int, ...]:
         return tuple(len(m) for m in self.masks)
+
+
+def _bits(indices) -> int:
+    return sum(1 << i for i in indices)
 
 
 def validate_pattern(raw) -> SupportPattern:
@@ -174,16 +223,26 @@ def is_lu_pattern(pattern: SupportPattern) -> bool:
 
 def _hidden_subset(pattern: SupportPattern, hidden: Iterable[int], operation: str) -> list[int]:
     """The distinct hidden neurons named by hidden, sorted; refused unless the
-    pattern has two layers and the subset is nonempty and inside range(N_1)."""
+    pattern has two layers and the subset is nonempty and inside range(N_1),
+    and every index is an integer (a numpy integer is read through
+    operator.index; a bool or a float is refused)."""
     if pattern.depth != 2:
         raise ValueError(f"hidden {operation} is defined for two-layer patterns")
-    kept = sorted(set(hidden))
+    kept = sorted(set(map(_hidden_index, hidden)))
     if not kept:
         raise ValueError("hidden subset must be nonempty")
     n1 = pattern.dims[1]
     if kept[0] < 0 or kept[-1] >= n1:
         raise ValueError(f"hidden subset {kept} out of range for N_1={n1}")
     return kept
+
+
+def _hidden_index(k) -> int:
+    # an int, or a numpy integer through operator.index; a bool or a float
+    # such as 1.5 names no neuron
+    if isinstance(k, bool) or not hasattr(type(k), "__index__"):
+        raise ValueError(f"hidden index {k!r} is not an integer")
+    return operator.index(k)
 
 
 def restrict_to_hidden(pattern: SupportPattern, hidden: Iterable[int]) -> SupportPattern:
@@ -204,13 +263,19 @@ def compress_hidden(pattern: SupportPattern, hidden: Sequence[int]) -> SupportPa
 
     The factorization set is unchanged by dropping hidden neurons that carry
     no connection, so this is the step that lets the shallow closedness rules
-    apply to sub-network patterns.
+    apply to sub-network patterns.  The child's masks are built from the
+    kept neurons' entries of pattern.hidden_neurons only, so a subset costs
+    what its neurons carry, not a scan of the whole pattern; the child is not
+    re-validated (its pairs come from a validated pattern) and gets the kept
+    entries as its own hidden_neurons.
     """
     kept = _hidden_subset(pattern, hidden, "compression")
-    index = {old: new for new, old in enumerate(kept)}
-    first = frozenset((index[r], c) for r, c in pattern.masks[0] if r in index)
-    second = frozenset((r, index[c]) for r, c in pattern.masks[1] if c in index)
-    return SupportPattern(dims=(pattern.dims[0], len(kept), pattern.dims[2]), masks=(first, second))
+    index = pattern.hidden_neurons
+    neurons = tuple([index[k] for k in kept])
+    first = frozenset([(j, c) for j, neuron in enumerate(neurons) for c in neuron.cols])
+    second = frozenset([(r, j) for j, neuron in enumerate(neurons) for r in neuron.rows])
+    dims = (pattern.dims[0], len(kept), pattern.dims[2])
+    return SupportPattern._compressed(dims, (first, second), neurons)
 
 
 @dataclass(frozen=True)

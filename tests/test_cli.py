@@ -12,11 +12,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import compress_reference
 from check_report import reference_report
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sparse_closure import cli, infimum
+from sparse_closure import cli, closure, infimum
 from sparse_closure.cli import EXIT_VERDICT, build_parser, main
 from sparse_closure.closure import (
     DEFAULT_MAX_HIDDEN,
@@ -38,7 +39,14 @@ from sparse_closure.experiments import (
     run_single_seed,
     write_experiment,
 )
-from sparse_closure.patterns import SupportPattern, dense_pattern, full_mask, lu_pattern, pattern_to_json
+from sparse_closure.patterns import (
+    SupportPattern,
+    dense_pattern,
+    full_mask,
+    load_pattern,
+    lu_pattern,
+    pattern_to_json,
+)
 from sparse_closure.smt import SENTENCE_CAP, count_variables
 
 
@@ -253,6 +261,27 @@ class TestCheckReportWriter:
         assert len(pairs) == 2
         assert counts[0] == counts[1]
         assert 1 <= counts[1]["dumps"] <= len(pairs) + 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bench_shaped_panel_prints_what_the_reference_compression_gives(self, tmp_path, capsys, seed):
+        # N1 = 8..13 as the benchmark's enum jobs, two dense patterns a seed;
+        # the reference compresses every subset by a whole-mask scan into a
+        # validated pattern whose signatures are built from scratch
+        rng = np.random.default_rng([29, seed])
+        for n1 in range(8, 14):
+            dims = (int(rng.integers(3, 6)), n1, int(rng.integers(1, 5)))
+            density = 1.0 if (n1 + seed) % 3 == 0 else rng.uniform(0.4, 0.8)
+            masks = tuple(frozenset((r, c) for r in range(dims[i + 1]) for c in range(dims[i])
+                                    if rng.random() < density) for i in range(2))
+            path = write_pattern(tmp_path / f"enum{n1}.json", SupportPattern(dims, masks))
+            code = main(["check", "--pattern", path])
+            out = capsys.readouterr().out
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(closure, "compress_hidden", compress_reference.compress_hidden)
+                verdict = closedness_verdict(load_pattern(path))
+                report = check_theorem5_conditions(load_pattern(path))
+            assert code == EXIT_VERDICT[verdict.status]
+            assert out == reference_report(verdict, report=report) + "\n"
 
 
 class TestGenDataset:

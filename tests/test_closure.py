@@ -5,6 +5,7 @@ import pytest
 from block_reference import bit_indices, butterfly_pattern
 from check_report import report_to_json
 
+from sparse_closure import patterns
 from sparse_closure.closure import (
     RULE_DISJOINT_BLOCKS,
     RULE_LU_GAP,
@@ -127,6 +128,28 @@ class TestSufficientCondition:
         report = check_theorem5_conditions(dense_pattern((2, 3, 2)))
         keys = [(len(sv.hidden), sv.hidden) for sv in report.subset_verdicts]
         assert keys == sorted(keys)
+
+    def test_subsets_are_not_validated_again_and_the_index_is_built_once(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        pattern = SupportPattern((5, 12, 4), (random_mask(rng, 12, 5), random_mask(rng, 4, 12)))
+        calls = Counter()
+        post_init, neuron = SupportPattern.__post_init__, patterns.HiddenNeuron
+
+        def counted_post_init(self):
+            calls["__post_init__"] += 1
+            post_init(self)
+
+        def counted_neuron(*fields):
+            calls["HiddenNeuron"] += 1
+            return neuron(*fields)
+
+        monkeypatch.setattr(SupportPattern, "__post_init__", counted_post_init)
+        monkeypatch.setattr(patterns, "HiddenNeuron", counted_neuron)
+        report = check_theorem5_conditions(pattern)
+        assert len(report.subset_verdicts) == 4095
+        # one entry per hidden neuron of the parent: each subset reads its
+        # kept neurons' entries of the parent's index
+        assert calls == {"HiddenNeuron": 12}
 
     def test_hidden_cap_refuses(self):
         with pytest.raises(ValueError, match="refusing"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -267,6 +269,23 @@ class TestCompressHidden:
                 row_old = {c for r, c in restricted.masks[0] if r == old_r}
                 row_new = {c for r, c in compressed.masks[0] if r == new_r}
                 assert row_old == row_new
+
+    @pytest.mark.parametrize("operation", [compress_hidden, restrict_to_hidden])
+    @pytest.mark.parametrize("hidden, name", [
+        ([1.5], "1.5"), ([True], "True"), ([0, False], "False"), ([1.0], "1.0"),
+        (["1"], "'1'"), ([np.float64(2.0)], repr(np.float64(2.0))),
+    ])
+    def test_non_integer_index_refused_by_name(self, operation, hidden, name):
+        # unchecked, 1.5 compresses to a neuron with no connection, which the
+        # rule closes, and True names neuron 1
+        with pytest.raises(ValueError, match=f"^hidden index {re.escape(name)} is not an integer$"):
+            operation(lu_pattern(3), hidden)
+
+    @pytest.mark.parametrize("operation", [compress_hidden, restrict_to_hidden])
+    def test_numpy_integers_name_their_neurons(self, operation):
+        pattern = lu_pattern(3)
+        assert operation(pattern, np.array([2, 0])) == operation(pattern, [0, 2])
+        assert operation(pattern, [np.int8(1), np.uint64(1)]) == operation(pattern, (1,))
 
     @pytest.mark.parametrize("hidden", [[5], [-1], [0, 2]], ids=["past-the-end", "negative", "one-of-two"])
     def test_out_of_range_subset_refused_as_restriction_refuses_it(self, hidden):

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import compress_reference
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_closure.closure import RULE_DISJOINT_BLOCKS, closedness_verdict
-from sparse_closure.patterns import SupportPattern, restrict_to_hidden
+from sparse_closure.patterns import SupportPattern, compress_hidden, restrict_to_hidden
 from sparse_closure.polyhedra import contains, eliminate_variable, polyhedron
 from sparse_closure.smt import emit_qe_sentence
 
@@ -72,6 +74,24 @@ def test_nested_restriction_collapses(pattern, data):
     direct = restrict_to_hidden(pattern, inner)
     nested = restrict_to_hidden(restrict_to_hidden(pattern, outer), inner)
     assert direct == nested
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_layer_patterns(), st.data())
+def test_compression_matches_the_whole_mask_reference(pattern, data):
+    # the small masks leave many neurons with an empty side; the second
+    # compression reads the index slice the first one handed its child
+    outer = data.draw(st.lists(st.integers(0, pattern.dims[1] - 1), min_size=1))
+    inner = data.draw(st.lists(st.integers(0, len(set(outer)) - 1), min_size=1))
+    child = compress_hidden(pattern, outer)
+    reference = compress_reference.compress_hidden(pattern, outer)
+    pairs = [(child, reference),
+             (compress_hidden(child, inner), compress_reference.compress_hidden(reference, inner))]
+    for got, want in pairs:
+        assert got == want and hash(got) == hash(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got.mask_arrays, want.mask_arrays))
+        assert got.hidden_neurons == want.hidden_neurons  # the reference builds its own
+        assert closedness_verdict(got) == closedness_verdict(want)
 
 
 @settings(max_examples=150, deadline=None)
