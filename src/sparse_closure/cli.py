@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--verify-witness", action="store_true",
                        help="back a not-closed verdict with the numerical infimum search")
     check.add_argument("--budget", type=int, default=100_000,
-                       help="iteration budget for --verify-witness")
+                       help="most factor updates --verify-witness spends; each restart "
+                       "also stops on the stall rule, so this is an upper bound")
     check.add_argument("--seed", type=int, default=0, help="seed for --verify-witness")
     check.add_argument("--out", help="write the verdict JSON here as well as stdout")
     check.set_defaults(handler=cmd_check, bounds={"budget": 1, "seed": 0, "max_hidden_enum": 0})

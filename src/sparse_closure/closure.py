@@ -178,8 +178,9 @@ def check_theorem5_conditions(
     connection through the others, before the rule dispatch; a subset whose
     neurons have disjoint rank-one supports is closed by rule 2 of
     closedness_verdict.  The pattern's hidden_neurons index is built once;
-    each compressed subset is assembled from, and inherits, its kept
-    neurons' entries, so a subset costs what those neurons carry.
+    each compressed subset holds its kept neurons' entries in place of
+    masks, and its verdict reads only those entries, so a subset costs
+    what those neurons carry.
     """
     if pattern.depth != 2:
         raise ValueError("the sufficient condition applies to two-layer patterns")

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .patterns import SparseFactors, SupportPattern, chain_product
+from .patterns import SparseFactors, SupportPattern, _integer, chain_product
 
 _NORM_GUARD = 1e13  # beyond this, least squares conditioning is gone
 _STALL_ROUNDS = 12
@@ -76,9 +76,15 @@ def infimum_oracle(
     budget counts individual factor updates (one masked least-squares solve
     each) across all restarts.  Each restart gets budget // restarts of them,
     rounded up to one sweep (depth updates), so budget=1 on a depth-2 pattern
-    still runs restarts x 2 updates.  Returns the best factors found and the
-    largest single-factor Frobenius norm seen along the accepted iterates,
-    which is the quantity that diverges when the infimum is unattained.
+    still runs restarts x 2 updates.  A restart also ends early on the stall
+    rule (_STALL_ROUNDS rounds that fail to cut the distance by _STALL_RTOL),
+    so the budget is an upper bound: on a divergent valley a few thousand
+    updates are usually all a restart spends.  budget, restarts and seed
+    must be integers (numpy integers included; a bool or a float is
+    refused with a ValueError naming the argument).  Returns the best
+    factors found and the largest single-factor Frobenius norm seen along
+    the accepted iterates, which is the quantity that diverges when the
+    infimum is unattained.
     Patterns whose polish system would pass SYSTEM_BYTES_CAP are refused.
     """
     A = np.asarray(target, dtype=float)
@@ -89,6 +95,9 @@ def infimum_oracle(
         )
     if not np.all(np.isfinite(A)):
         raise ValueError("target must be finite")
+    budget = _integer(budget, "budget")
+    restarts = _integer(restarts, "restarts")
+    seed = _integer(seed, "seed")
     if budget < 1:
         raise ValueError("budget must be a positive iteration count")
     if restarts < 1:
@@ -199,7 +208,8 @@ def _design(xs, i, entry, shape):
 
 
 def _sweep(A, xs, plan):
-    """One pass of masked least-squares updates, first factor to last."""
+    """One pass of masked least-squares updates, first factor to last.  The
+    first update reads the other factors and only the shape of xs[0]."""
     xs = list(xs)
     b = A.reshape(-1)
     for i, entry in enumerate(plan):
@@ -248,12 +258,15 @@ def _descend(A, xs, plan, budget, counts):
         dist = _distance(A, xs)
         seen = max(seen, _max_norm(xs))
 
-        log_ratios = [_log_ratio(x, xp) for x, xp in zip(xs, prev)]
+        # the sweep solves the first factor from the others and reads only
+        # its shape, so the extrapolation moves factors 1..L-1 and passes
+        # the first through
+        log_ratios = [_log_ratio(x, xp) for x, xp in zip(xs[1:], prev[1:])]
         power = 1.0
         while used + depth <= budget:
             # a step that overflows is rejected by the finiteness test below
             with np.errstate(over="ignore"):
-                cand = [x * _clipped_exp(lr * power) for x, lr in zip(xs, log_ratios)]
+                cand = [xs[0], *(x * _clipped_exp(lr * power) for x, lr in zip(xs[1:], log_ratios))]
             cand = _sweep(A, cand, plan)
             used += depth
             cand_dist = _distance(A, cand)

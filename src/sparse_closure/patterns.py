@@ -43,10 +43,13 @@ class SupportPattern:
     (row, col) pairs.  Instances are immutable and safe to share.
 
     Every pattern built here is validated: the constructor checks every
-    pair.  The one exception is compress_hidden's child, whose pairs are
-    re-indexed from an already validated pattern and so are in bounds by
-    construction; it comes from _compressed, which skips the checks and
-    hands the child its slice of the parent's hidden_neurons.
+    pair.  The one exception is compress_hidden's child, built by
+    _compressed from dims and its slice of a validated parent's
+    hidden_neurons alone, so it is in bounds by construction.  Its masks
+    are built from those neurons the first time they are read (==, hash,
+    repr, pickling and mask_arrays all read them), by __getattr__, which
+    runs only while masks is unset; a closedness verdict reads dims and
+    hidden_neurons only, so it never builds them.
     """
 
     dims: tuple[int, ...]
@@ -75,9 +78,21 @@ class SupportPattern:
             object.__setattr__(self, "dims", tuple(self.dims))
             object.__setattr__(self, "masks", tuple(frozenset(map(tuple, m)) for m in self.masks))
 
+    def __getattr__(self, name):
+        # normal lookup failed: only a compressed child lacks masks, and it
+        # builds them once from its hidden_neurons
+        neurons = vars(self).get("hidden_neurons")
+        if name != "masks" or neurons is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        masks = (frozenset([(j, c) for j, neuron in enumerate(neurons) for c in neuron.cols]),
+                 frozenset([(r, j) for j, neuron in enumerate(neurons) for r in neuron.rows]))
+        object.__setattr__(self, "masks", masks)
+        return masks
+
     @property
     def depth(self) -> int:
-        return len(self.masks)
+        return len(self.dims) - 1
 
     @property
     def input_dim(self) -> int:
@@ -108,8 +123,9 @@ class SupportPattern:
     def hidden_neurons(self) -> tuple[HiddenNeuron, ...]:
         """One HiddenNeuron per hidden neuron of a two-layer pattern, built
         on first use.  This is the one owner of the per-neuron signatures:
-        the rank-one-block rule reads them here, and compress_hidden builds
-        its child's masks from the kept neurons' entries alone."""
+        the rank-one-block rule reads them here, is_lu_pattern reads the
+        entries, and a compress_hidden child holds the kept neurons'
+        entries in place of masks."""
         if self.depth != 2:
             raise ValueError("hidden neurons are indexed for two-layer patterns")
         n1 = self.dims[1]
@@ -124,11 +140,11 @@ class SupportPattern:
         )
 
     @classmethod
-    def _compressed(cls, dims, masks, neurons) -> SupportPattern:
-        # trusted: masks hold in-bounds pairs re-indexed from a validated
-        # pattern, and neurons is their index
+    def _compressed(cls, dims, neurons) -> SupportPattern:
+        # trusted: neurons are entries of a validated pattern's index, so
+        # the masks __getattr__ builds from them are in bounds
         pattern = object.__new__(cls)
-        vars(pattern).update(dims=dims, masks=masks, hidden_neurons=neurons)
+        vars(pattern).update(dims=dims, hidden_neurons=neurons)
         return pattern
 
     def is_full(self, i: int) -> bool:
@@ -210,15 +226,15 @@ def lu_pattern(d: int) -> SupportPattern:
 
 
 def is_lu_pattern(pattern: SupportPattern) -> bool:
-    """pattern == lu_pattern(d), without building it: masks hold distinct
-    in-bounds pairs, so d(d+1)/2 pairs on or above (below) the diagonal
-    are the whole upper (lower) triangle."""
+    """pattern == lu_pattern(d), without building it or reading the masks:
+    hidden neuron k of lu(d) reads inputs k..d-1 (row k of the upper
+    triangle) and writes outputs k..d-1 (column k of the lower one), so
+    pattern.hidden_neurons decides it."""
     d = pattern.dims[0]
     if pattern.dims != (d, d, d):  # so two layers
         return False
-    upper, lower = pattern.masks
-    return (len(upper) == d * (d + 1) // 2 == len(lower)
-            and all(r <= c for r, c in upper) and all(r >= c for r, c in lower))
+    return all(neuron.cols == neuron.rows == tuple(range(k, d))
+               for k, neuron in enumerate(pattern.hidden_neurons))
 
 
 def _hidden_subset(pattern: SupportPattern, hidden: Iterable[int], operation: str) -> list[int]:
@@ -228,7 +244,7 @@ def _hidden_subset(pattern: SupportPattern, hidden: Iterable[int], operation: st
     operator.index; a bool or a float is refused)."""
     if pattern.depth != 2:
         raise ValueError(f"hidden {operation} is defined for two-layer patterns")
-    kept = sorted(set(map(_hidden_index, hidden)))
+    kept = sorted({_integer(k, "hidden index") for k in hidden})
     if not kept:
         raise ValueError("hidden subset must be nonempty")
     n1 = pattern.dims[1]
@@ -237,12 +253,12 @@ def _hidden_subset(pattern: SupportPattern, hidden: Iterable[int], operation: st
     return kept
 
 
-def _hidden_index(k) -> int:
-    # an int, or a numpy integer through operator.index; a bool or a float
-    # such as 1.5 names no neuron
-    if isinstance(k, bool) or not hasattr(type(k), "__index__"):
-        raise ValueError(f"hidden index {k!r} is not an integer")
-    return operator.index(k)
+def _integer(value, name: str) -> int:
+    # an int, or a numpy integer through operator.index; a bool, or a float
+    # such as 1.5 or nan, is refused with a ValueError naming what it is
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return operator.index(value)
 
 
 def restrict_to_hidden(pattern: SupportPattern, hidden: Iterable[int]) -> SupportPattern:
@@ -263,19 +279,16 @@ def compress_hidden(pattern: SupportPattern, hidden: Sequence[int]) -> SupportPa
 
     The factorization set is unchanged by dropping hidden neurons that carry
     no connection, so this is the step that lets the shallow closedness rules
-    apply to sub-network patterns.  The child's masks are built from the
-    kept neurons' entries of pattern.hidden_neurons only, so a subset costs
-    what its neurons carry, not a scan of the whole pattern; the child is not
-    re-validated (its pairs come from a validated pattern) and gets the kept
-    entries as its own hidden_neurons.
+    apply to sub-network patterns.  The child holds only its dims and the
+    kept neurons' entries of pattern.hidden_neurons, as its own index: it is
+    not re-validated, and its masks are built from those entries only when
+    something reads them (see SupportPattern), so a subset whose verdict
+    reads only the index costs a slice of it.
     """
     kept = _hidden_subset(pattern, hidden, "compression")
     index = pattern.hidden_neurons
-    neurons = tuple([index[k] for k in kept])
-    first = frozenset([(j, c) for j, neuron in enumerate(neurons) for c in neuron.cols])
-    second = frozenset([(r, j) for j, neuron in enumerate(neurons) for r in neuron.rows])
     dims = (pattern.dims[0], len(kept), pattern.dims[2])
-    return SupportPattern._compressed(dims, (first, second), neurons)
+    return SupportPattern._compressed(dims, tuple([index[k] for k in kept]))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from sparse_closure.closure import (
     SufficiencyReport,
     check_theorem5_conditions,
     closedness_verdict,
+    closure_gap_witness_lu,
 )
 from sparse_closure.datasets import DEFAULT_POINT_CAP
 from sparse_closure.experiments import (
@@ -282,6 +283,26 @@ class TestCheckReportWriter:
                 report = check_theorem5_conditions(load_pattern(path))
             assert code == EXIT_VERDICT[verdict.status]
             assert out == reference_report(verdict, report=report) + "\n"
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_verify_witness_prints_what_the_reference_search_gives(self, tmp_path, capsys, d):
+        # the payload is built from the mask-based compression, the
+        # anti-diagonal witness and the search as it ran before its plan
+        from test_infimum import GAP_SEEDS, reference_oracle
+
+        path = write_pattern(tmp_path / f"lu{d}.json", lu_pattern(d))
+        verdict = ClosednessVerdict(Closedness.NOT_CLOSED, RULE_LU_GAP, closure_gap_witness_lu(d))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(closure, "compress_hidden", compress_reference.compress_hidden)
+            report = check_theorem5_conditions(lu_pattern(d))
+        for seed in GAP_SEEDS:
+            code = main(["check", "--pattern", path, "--verify-witness", "--seed", str(seed)])
+            distance, _, norm, _ = reference_oracle(
+                np.array(verdict.witness, dtype=float), lu_pattern(d), 100_000, seed)
+            verification = {"distance": distance, "max_factor_norm": norm, "budget": 100_000, "seed": seed}
+            assert code == EXIT_VERDICT[Closedness.NOT_CLOSED]
+            assert capsys.readouterr().out == reference_report(verdict, verification=verification,
+                                                              report=report) + "\n"
 
 
 class TestGenDataset:

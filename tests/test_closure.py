@@ -2,10 +2,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import compress_reference
 from block_reference import bit_indices, butterfly_pattern
 from check_report import report_to_json
 
-from sparse_closure import patterns
+from sparse_closure import closure, patterns
 from sparse_closure.closure import (
     RULE_DISJOINT_BLOCKS,
     RULE_LU_GAP,
@@ -150,6 +151,30 @@ class TestSufficientCondition:
         # one entry per hidden neuron of the parent: each subset reads its
         # kept neurons' entries of the parent's index
         assert calls == {"HiddenNeuron": 12}
+
+    @pytest.mark.parametrize("dims", [(5, 12, 4), (4, 12, 4)])
+    def test_subset_verdicts_build_no_masks(self, monkeypatch, dims):
+        # (4, 12, 4) also sends its 495 four-neuron subsets to the lu matcher
+        rng = np.random.default_rng(30)
+        pattern = SupportPattern(dims, (random_mask(rng, 12, dims[0]), random_mask(rng, dims[2], 12)))
+        seen = Counter()
+        verdict = closure.closedness_verdict
+
+        def watched(child):
+            seen["masks before"] += "masks" in vars(child)
+            result = verdict(child)
+            seen["masks after"] += "masks" in vars(child)
+            seen["verdicts"] += 1
+            return result
+
+        with monkeypatch.context() as m:
+            m.setattr(closure, "closedness_verdict", watched)
+            report = check_theorem5_conditions(pattern)
+        assert seen == {"masks before": 0, "masks after": 0, "verdicts": 4095}
+        with monkeypatch.context() as m:
+            m.setattr(closure, "compress_hidden", compress_reference.compress_hidden)
+            reference = check_theorem5_conditions(pattern)
+        assert report_to_json(report) == report_to_json(reference)
 
     def test_hidden_cap_refuses(self):
         with pytest.raises(ValueError, match="refusing"):

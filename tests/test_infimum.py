@@ -150,6 +150,45 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             infimum_oracle(np.eye(3), lu_pattern(2), budget=10)
 
+    @pytest.mark.parametrize("argument, value", [
+        ("budget", float("nan")), ("budget", 2.5), ("budget", 10.0), ("budget", True), ("budget", "10"),
+        ("restarts", True), ("restarts", 2.5), ("restarts", float("nan")), ("restarts", np.float64(2.0)),
+        ("seed", True), ("seed", False), ("seed", 0.5),
+    ])
+    def test_a_count_that_is_not_an_integer_is_refused_by_name(self, argument, value):
+        # unchecked, a nan budget ran no sweep and returned its random start,
+        # True ran as 1, and restarts=2.5 failed inside range
+        kwargs = {"budget": 10, argument: value}
+        with pytest.raises(ValueError, match=f"^{argument} .* is not an integer$"):
+            infimum_oracle(np.eye(2), lu_pattern(2), **kwargs)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        target = np.array(closure_gap_witness_lu(2), dtype=float)
+        got = infimum_oracle(target, lu_pattern(2), budget=np.int64(40), seed=np.uint8(1), restarts=np.int32(2))
+        want = infimum_oracle(target, lu_pattern(2), budget=40, seed=1, restarts=2)
+        assert got.stats == want.stats and got.stats.restarts == 2
+        assert same_bits(got.distance, want.distance)
+        assert all(same_bits(a, b) for a, b in zip(got.factors.factors, want.factors.factors))
+
+
+class TestFirstFactorPassesThrough:
+    def test_extrapolation_moves_only_the_factors_the_next_sweep_reads(self, monkeypatch):
+        # the sweep solves the first factor from the others, so no log ratio
+        # or exponential is taken for it
+        calls = Counter()
+        for name in ("_log_ratio", "_clipped_exp"):
+            def counted(*args, _name=name, _fn=getattr(infimum, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(infimum, name, counted)
+        pattern = lu_pattern(3)
+        target = np.array(closure_gap_witness_lu(3), dtype=float)
+        stats = infimum_oracle(target, pattern, budget=100_000, seed=0).stats
+        extrapolations = stats.extrapolations_accepted + stats.extrapolations_rejected
+        assert stats.sweeps > 0 and stats.extrapolations_accepted > 0
+        assert calls["_log_ratio"] == (pattern.depth - 1) * stats.sweeps
+        assert calls["_clipped_exp"] == (pattern.depth - 1) * extrapolations
+
 
 def reference_oracle(A, pattern, budget, seed, restarts=8):
     """The search as it ran before its per-search plan: a fresh design with

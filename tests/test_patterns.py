@@ -1,5 +1,8 @@
 import re
+from collections import Counter
+from itertools import permutations
 
+import lu_reference
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -154,6 +157,52 @@ class TestIsLuPattern:
                 pattern = SupportPattern(dims=(d, d, d), masks=masks)
                 assert is_lu_pattern(pattern) == (pattern == lu)
 
+    @staticmethod
+    def relabelled(pattern, hidden, rows, cols):
+        first, second = pattern.masks
+        return SupportPattern(pattern.dims, (frozenset((hidden[k], cols[c]) for k, c in first),
+                                             frozenset((rows[r], hidden[k]) for r, k in second)))
+
+    @staticmethod
+    def one_pair_edits(pattern):
+        # every copy with one pair of one mask added or removed
+        d = pattern.dims[0]
+        for i in range(2):
+            for pair in ((r, c) for r in range(d) for c in range(d)):
+                masks = list(pattern.masks)
+                masks[i] = masks[i] ^ {pair}
+                yield SupportPattern(pattern.dims, tuple(masks))
+
+    def panel(self):
+        rng = np.random.default_rng(30)
+        for d in range(1, 7):
+            lu = lu_pattern(d)
+            yield lu
+            identity = tuple(range(d))
+            if d <= 4:
+                perms = list(permutations(identity))
+            else:
+                perms = [tuple(int(v) for v in rng.permutation(d)) for _ in range(40)]
+            for perm in perms:
+                yield self.relabelled(lu, perm, identity, identity)
+                yield self.relabelled(lu, identity, perm, identity)
+                yield self.relabelled(lu, identity, identity, perm)
+            if d <= 5:
+                yield from self.one_pair_edits(lu)
+
+    def test_the_index_decides_what_the_masks_decide(self):
+        found = Counter()
+        for pattern in self.panel():
+            want = lu_reference.is_lu_pattern(pattern)
+            assert is_lu_pattern(pattern) is want, pattern
+            # a compressed child is decided from the index it inherits,
+            # without building its masks
+            child = compress_hidden(pattern, range(pattern.dims[1]))
+            assert is_lu_pattern(child) is want, pattern
+            assert "masks" not in vars(child)
+            found[want] += 1
+        assert found[True] >= 6 and found[False] > 400
+
 
 class TestRestrictToHidden:
     def test_lu_d2_single_neuron(self):
@@ -296,3 +345,28 @@ class TestCompressHidden:
         with pytest.raises(ValueError, match="out of range for N_1=2") as compressed:
             compress_hidden(pattern, hidden)
         assert str(compressed.value) == str(restricted.value)
+
+
+def read_masks(pattern):
+    pattern.masks
+    return pattern
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lu_pattern(3),
+    lambda: dense_pattern((2, 3, 2, 1)),
+    lambda: compress_hidden(lu_pattern(3), [0, 2]),
+    lambda: read_masks(compress_hidden(lu_pattern(3), [0, 2])),
+    lambda: object.__new__(SupportPattern),
+], ids=["validated", "depth-3", "child", "child-masks-read", "unfilled"])
+def test_a_misspelled_attribute_raises_attribute_error_naming_it(make):
+    # masks are built on a missing-attribute lookup, which must not swallow
+    # any other name, nor recurse on a pattern that holds no neuron index
+    pattern = make()
+    for name in ("mask", "hidden_neuron", "dim", "__setstate__"):
+        with pytest.raises(AttributeError, match=f"'SupportPattern' object has no attribute '{name}'") as info:
+            getattr(pattern, name)
+        assert info.value.name == name and info.value.obj is pattern
+    if not vars(pattern):
+        with pytest.raises(AttributeError, match="no attribute 'masks'"):
+            pattern.masks

@@ -1,5 +1,8 @@
 """Property-based checks of the exact invariants (hypothesis-generated inputs)."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import compress_reference
@@ -92,6 +95,42 @@ def test_compression_matches_the_whole_mask_reference(pattern, data):
         assert all(np.array_equal(a, b) for a, b in zip(got.mask_arrays, want.mask_arrays))
         assert got.hidden_neurons == want.hidden_neurons  # the reference builds its own
         assert closedness_verdict(got) == closedness_verdict(want)
+
+
+LAZY_CHILD_VIEWS = {
+    "==": lambda p: p,
+    "hash": hash,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+    "replace": dataclasses.replace,
+    "mask_arrays": lambda p: tuple(a.tobytes() for a in p.mask_arrays),
+    "mask_sizes": lambda p: p.mask_sizes(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_layer_patterns(), st.data())
+def test_a_lazy_child_is_the_reference_compression_before_and_after_its_masks_are_read(pattern, data):
+    hidden = data.draw(st.lists(st.integers(0, pattern.dims[1] - 1), min_size=1))
+    reference = compress_reference.compress_hidden(pattern, hidden)
+
+    def children():
+        # one child whose masks are unset, one whose masks were read
+        lazy, read = compress_hidden(pattern, hidden), compress_hidden(pattern, hidden)
+        read.masks
+        assert "masks" not in vars(lazy) and "masks" in vars(read)
+        return lazy, read
+
+    for name, view in LAZY_CHILD_VIEWS.items():
+        for child in children():
+            assert view(child) == view(reference), name
+    # a frozenset's repr lists its pairs in hash-table order, which hangs on
+    # the order they were inserted in, and the reference inserts them in its
+    # parent's order: so the repr is compared as the pattern it spells
+    namespace = {"SupportPattern": SupportPattern, "frozenset": frozenset}
+    texts = {repr(child) for child in children()}
+    assert len(texts) == 1
+    assert eval(texts.pop(), namespace) == reference
 
 
 @settings(max_examples=150, deadline=None)
