@@ -82,33 +82,29 @@ def _disjoint_blocks(pattern: SupportPattern):
 
     Hidden neuron k adds the rank-one matrices u v^T with supp u in R_k
     (column k of mask 2) and supp v in C_k (row k of mask 1); the signatures
-    (R_k, C_k) are read from pattern.hidden_neurons, their one owner.
-    Neurons with an empty side add nothing; the others are grouped by
-    (R, C), and a group of m neurons adds the matrices on R x C of rank at
-    most m.  A group with m >= min(|R|, |C|) adds every matrix on R x C: a
-    coordinate group.
+    (R_k, C_k), as bitmasks, are read from pattern.hidden_neurons, their one
+    encoding.  Neurons with an empty side add nothing; the others are
+    counted by (R, C), and a group of m neurons adds the matrices on R x C
+    of rank at most m.  A group with m >= min(|R|, |C|) adds every matrix
+    on R x C: a coordinate group.
 
-    Returns (coordinate, bounded), each a list of (rows, cols, neurons) with
-    rows and cols as bitmasks and neurons the group's hidden indices, when
-    every bounded group's rectangle is disjoint from every other group's;
-    None at the first overlap.
+    Returns (coordinate, bounded), each a list of (rows, cols, m) with rows
+    and cols as bitmasks and m the group's neuron count, when every bounded
+    group's rectangle is disjoint from every other group's; None at the
+    first overlap.
     """
     groups = {}
-    for k, neuron in enumerate(pattern.hidden_neurons):
-        key = neuron.signature
-        if key in groups:
-            groups[key].append(k)
-        else:
-            groups[key] = [k]
+    for key in pattern.hidden_neurons:
+        groups[key] = groups.get(key, 0) + 1
     coordinate, bounded = [], []
-    for (r, c), neurons in groups.items():
+    for (r, c), m in groups.items():
         # a bounded group meets no earlier group, a coordinate one no earlier bounded one
         if r and c:
-            small = len(neurons) < min(r.bit_count(), c.bit_count())
+            small = m < min(r.bit_count(), c.bit_count())
             for r2, c2, _ in coordinate + bounded if small else bounded:
                 if r & r2 and c & c2:
                     return None
-            (bounded if small else coordinate).append((r, c, neurons))
+            (bounded if small else coordinate).append((r, c, m))
     return coordinate, bounded
 
 
@@ -178,9 +174,9 @@ def check_theorem5_conditions(
     connection through the others, before the rule dispatch; a subset whose
     neurons have disjoint rank-one supports is closed by rule 2 of
     closedness_verdict.  The pattern's hidden_neurons index is built once;
-    each compressed subset holds its kept neurons' entries in place of
-    masks, and its verdict reads only those entries, so a subset costs
-    what those neurons carry.
+    each compressed subset holds its kept neurons' (R_k, C_k) pairs in
+    place of masks, and its verdict reads only those pairs, so a subset
+    costs what those neurons carry.
     """
     if pattern.depth != 2:
         raise ValueError("the sufficient condition applies to two-layer patterns")

@@ -12,7 +12,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .rational import matmul, matrix
 
@@ -20,18 +20,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 Mask = frozenset[tuple[int, int]]
-
-
-class HiddenNeuron(NamedTuple):
-    """What one hidden neuron k of a two-layer pattern connects: the input
-    columns of row k of the first mask and the output rows of column k of
-    the second, sorted, and its signature (R_k, C_k), the same rows and
-    columns as bitmasks.  Nothing here names k itself, so a neuron's entry
-    is the same in every pattern compressed onto a subset that keeps it."""
-
-    cols: tuple[int, ...]
-    rows: tuple[int, ...]
-    signature: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -43,13 +31,13 @@ class SupportPattern:
     (row, col) pairs.  Instances are immutable and safe to share.
 
     Every pattern built here is validated: the constructor checks every
-    pair.  The one exception is compress_hidden's child, built by
-    _compressed from dims and its slice of a validated parent's
-    hidden_neurons alone, so it is in bounds by construction.  Its masks
-    are built from those neurons the first time they are read (==, hash,
-    repr, pickling and mask_arrays all read them), by __getattr__, which
-    runs only while masks is unset; a closedness verdict reads dims and
-    hidden_neurons only, so it never builds them.
+    pair and stores it as ints.  The one exception is compress_hidden's
+    child, built by _compressed from dims and its slice of a validated
+    parent's hidden_neurons alone, so it is in bounds by construction.  Its
+    masks are decoded from those (R_k, C_k) bits the first time they are
+    read (==, hash, repr, pickling and mask_arrays all read them), by
+    __getattr__, which runs only while masks is unset; a closedness verdict
+    reads dims and hidden_neurons only, so it never builds them.
     """
 
     dims: tuple[int, ...]
@@ -65,8 +53,12 @@ class SupportPattern:
                 f"{len(self.dims)} dims require {len(self.dims) - 1} masks, got {len(self.masks)}"
             )
         convert = type(self.dims) is not tuple or type(self.masks) is not tuple
-        for i, mask in enumerate(self.masks):
-            convert |= type(mask) is not frozenset
+        masks = list(self.masks)
+        for i, mask in enumerate(masks):
+            # a pair count needs distinct pairs, a signature bit an int (1 << np.int64(64) is 0)
+            if type(mask) is not frozenset or not all(type(r) is type(c) is int for r, c in mask):
+                name, convert = f"mask {i + 1} entry index", True
+                masks[i] = mask = frozenset([(_integer(r, name), _integer(c, name)) for r, c in mask])
             n_rows, n_cols = self.dims[i + 1], self.dims[i]
             for r, c in mask:
                 if not (0 <= r < n_rows and 0 <= c < n_cols):
@@ -74,19 +66,22 @@ class SupportPattern:
                         f"mask {i + 1} entry ({r + 1},{c + 1}) is outside its "
                         f"{n_rows}x{n_cols} layer (1-based bounds)"
                     )
-        if convert:  # pair counts need distinct pairs, so each mask becomes a frozenset
+        if convert:
             object.__setattr__(self, "dims", tuple(self.dims))
-            object.__setattr__(self, "masks", tuple(frozenset(map(tuple, m)) for m in self.masks))
+            object.__setattr__(self, "masks", tuple(masks))
 
     def __getattr__(self, name):
         # normal lookup failed: only a compressed child lacks masks, and it
-        # builds them once from its hidden_neurons
+        # decodes them once from the bits of its hidden_neurons
         neurons = vars(self).get("hidden_neurons")
         if name != "masks" or neurons is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
                                  name=name, obj=self)
-        masks = (frozenset([(j, c) for j, neuron in enumerate(neurons) for c in neuron.cols]),
-                 frozenset([(r, j) for j, neuron in enumerate(neurons) for r in neuron.rows]))
+        # bin(bits)[:1:-1] spells bit 0 first, so a "1" at position i is index i
+        masks = (frozenset([(j, c) for j, (_, cols) in enumerate(neurons)
+                            for c, bit in enumerate(bin(cols)[:1:-1]) if bit == "1"]),
+                 frozenset([(r, j) for j, (rows, _) in enumerate(neurons)
+                            for r, bit in enumerate(bin(rows)[:1:-1]) if bit == "1"]))
         object.__setattr__(self, "masks", masks)
         return masks
 
@@ -120,29 +115,25 @@ class SupportPattern:
         return arrays
 
     @cached_property
-    def hidden_neurons(self) -> tuple[HiddenNeuron, ...]:
-        """One HiddenNeuron per hidden neuron of a two-layer pattern, built
-        on first use.  This is the one owner of the per-neuron signatures:
-        the rank-one-block rule reads them here, is_lu_pattern reads the
-        entries, and a compress_hidden child holds the kept neurons'
-        entries in place of masks."""
+    def hidden_neurons(self) -> tuple[tuple[int, int], ...]:
+        """The one encoding of a hidden neuron k of a two-layer pattern: its
+        signature (R_k, C_k), bitmasks of the output rows of column k of the
+        second mask and the input columns of row k of the first, built on
+        first use.  The rank-one-block rule and is_lu_pattern read it, and a
+        compress_hidden child holds the kept neurons' pairs in place of masks."""
         if self.depth != 2:
             raise ValueError("hidden neurons are indexed for two-layer patterns")
-        n1 = self.dims[1]
-        cols, rows = [[] for _ in range(n1)], [[] for _ in range(n1)]
+        rows, cols = [0] * self.dims[1], [0] * self.dims[1]
         for k, c in self.masks[0]:
-            cols[k].append(c)
+            cols[k] |= 1 << c
         for r, k in self.masks[1]:
-            rows[k].append(r)
-        return tuple(
-            HiddenNeuron(tuple(sorted(c)), tuple(sorted(r)), (_bits(r), _bits(c)))
-            for c, r in zip(cols, rows)
-        )
+            rows[k] |= 1 << r
+        return tuple(zip(rows, cols))
 
     @classmethod
     def _compressed(cls, dims, neurons) -> SupportPattern:
-        # trusted: neurons are entries of a validated pattern's index, so
-        # the masks __getattr__ builds from them are in bounds
+        # trusted: neurons are pairs of a validated pattern's index, so
+        # the masks __getattr__ decodes from them are in bounds
         pattern = object.__new__(cls)
         vars(pattern).update(dims=dims, hidden_neurons=neurons)
         return pattern
@@ -153,10 +144,6 @@ class SupportPattern:
 
     def mask_sizes(self) -> tuple[int, ...]:
         return tuple(len(m) for m in self.masks)
-
-
-def _bits(indices) -> int:
-    return sum(1 << i for i in indices)
 
 
 def validate_pattern(raw) -> SupportPattern:
@@ -228,13 +215,12 @@ def lu_pattern(d: int) -> SupportPattern:
 def is_lu_pattern(pattern: SupportPattern) -> bool:
     """pattern == lu_pattern(d), without building it or reading the masks:
     hidden neuron k of lu(d) reads inputs k..d-1 (row k of the upper
-    triangle) and writes outputs k..d-1 (column k of the lower one), so
-    pattern.hidden_neurons decides it."""
+    triangle) and writes outputs k..d-1 (column k of the lower one): its
+    signature in pattern.hidden_neurons is ((1 << d) - (1 << k)) twice."""
     d = pattern.dims[0]
     if pattern.dims != (d, d, d):  # so two layers
         return False
-    return all(neuron.cols == neuron.rows == tuple(range(k, d))
-               for k, neuron in enumerate(pattern.hidden_neurons))
+    return all(r == c == (1 << d) - (1 << k) for k, (r, c) in enumerate(pattern.hidden_neurons))
 
 
 def _hidden_subset(pattern: SupportPattern, hidden: Iterable[int], operation: str) -> list[int]:
@@ -280,10 +266,11 @@ def compress_hidden(pattern: SupportPattern, hidden: Sequence[int]) -> SupportPa
     The factorization set is unchanged by dropping hidden neurons that carry
     no connection, so this is the step that lets the shallow closedness rules
     apply to sub-network patterns.  The child holds only its dims and the
-    kept neurons' entries of pattern.hidden_neurons, as its own index: it is
-    not re-validated, and its masks are built from those entries only when
-    something reads them (see SupportPattern), so a subset whose verdict
-    reads only the index costs a slice of it.
+    kept neurons' (R_k, C_k) pairs of pattern.hidden_neurons, as its own
+    index: a neuron's pair names no hidden index, so it is the same in the
+    child.  The child is not re-validated, and its masks are decoded from
+    those bits only when something reads them (see SupportPattern), so a
+    subset whose verdict reads only the index costs a slice of it.
     """
     kept = _hidden_subset(pattern, hidden, "compression")
     index = pattern.hidden_neurons

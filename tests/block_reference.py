@@ -2,8 +2,10 @@
 rule closes, and the pattern families the tests grade it on.
 
 When the rule closes a pattern, its factorization set is a direct sum on
-disjoint coordinates (closure._disjoint_blocks gives the blocks), so the
-best approximation of a target A splits by blocks:
+disjoint coordinates (closure._disjoint_blocks gives the blocks, and the
+neurons of each block are those whose signature (R_k, C_k) in
+pattern.hidden_neurons is its rectangle), so the best approximation of a
+target A splits by blocks:
 - a bounded-rank group with rows R, columns C and m neurons contributes the
   tail of A[R, C]'s singular values beyond m (Eckart-Young);
 - the entries of coordinate groups contribute 0;
@@ -28,12 +30,15 @@ def best_approximation(a, pattern):
     if blocks is None:
         raise ValueError("the exact reference needs a pattern closed by the rank-one-block rule")
     coordinate, bounded = blocks
+    members = {}
+    for k, signature in enumerate(pattern.hidden_neurons):
+        members.setdefault(signature, []).append(k)
     a = np.asarray(a, dtype=float)
     w1, w2 = np.zeros(pattern.layer_shape(0)), np.zeros(pattern.layer_shape(1))
     covered = np.zeros(a.shape, dtype=bool)
-    for rows, cols, neurons in coordinate:
+    for rows, cols, _ in coordinate:
         # each entry of the union is matched by the first group that holds it
-        r, c = bit_indices(rows), bit_indices(cols)
+        r, c, neurons = bit_indices(rows), bit_indices(cols), members[rows, cols]
         part = np.where(covered[np.ix_(r, c)], 0.0, a[np.ix_(r, c)])
         covered[np.ix_(r, c)] = True
         if len(r) <= len(c):  # neuron k carries output row r[j]
@@ -45,8 +50,8 @@ def best_approximation(a, pattern):
                 w1[k, c[j]] = 1.0
                 w2[r, k] = part[:, j]
     tail = 0.0
-    for rows, cols, neurons in bounded:
-        r, c, m = bit_indices(rows), bit_indices(cols), len(neurons)
+    for rows, cols, m in bounded:
+        r, c, neurons = bit_indices(rows), bit_indices(cols), members[rows, cols]
         u, s, vt = np.linalg.svd(a[np.ix_(r, c)], full_matrices=False)
         tail += float(np.sum(s[m:] ** 2))
         root = np.sqrt(s[:m])

@@ -1,10 +1,11 @@
 """Hidden-subset compression as it ran before the per-neuron index.
 
 `compress_hidden` scans every pair of both masks and builds its child with
-the validating SupportPattern constructor, so the child's hidden_neurons is
-built from scratch on first use.  patterns.compress_hidden instead reads the
-kept neurons' entries of the parent's index and skips re-validation; tests
-compare the two.
+the validating SupportPattern constructor, so the child's hidden_neurons,
+one (R_k, C_k) signature bitmask pair per neuron, is built from scratch on
+first use.  patterns.compress_hidden instead holds the kept neurons' pairs
+of the parent's index, decodes masks from their bits only when read, and
+skips re-validation; tests compare the two.
 """
 
 from sparse_closure.patterns import SupportPattern, _hidden_subset

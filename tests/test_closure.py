@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import compress_reference
 from block_reference import bit_indices, butterfly_pattern
 from check_report import report_to_json
 
-from sparse_closure import closure, patterns
+from sparse_closure import closure
 from sparse_closure.closure import (
     RULE_DISJOINT_BLOCKS,
     RULE_LU_GAP,
@@ -57,7 +58,7 @@ class TestClosednessVerdict:
         assert v.status is Closedness.CLOSED
         assert v.rule == "disjoint-rank-one-blocks"
         # one group of 2 neurons on a 3 x 5 rectangle: rank at most 2
-        assert _disjoint_blocks(dense_pattern((5, 2, 3))) == ([], [(0b111, 0b11111, [0, 1])])
+        assert _disjoint_blocks(dense_pattern((5, 2, 3))) == ([], [(0b111, 0b11111, 2)])
         assert closedness_verdict(dense_pattern((5, 2, 3))).rule == "disjoint-rank-one-blocks"
 
     def test_single_layer_closed(self):
@@ -134,23 +135,25 @@ class TestSufficientCondition:
         rng = np.random.default_rng(12)
         pattern = SupportPattern((5, 12, 4), (random_mask(rng, 12, 5), random_mask(rng, 4, 12)))
         calls = Counter()
-        post_init, neuron = SupportPattern.__post_init__, patterns.HiddenNeuron
+        post_init, index = SupportPattern.__post_init__, SupportPattern.hidden_neurons.func
 
         def counted_post_init(self):
             calls["__post_init__"] += 1
             post_init(self)
 
-        def counted_neuron(*fields):
-            calls["HiddenNeuron"] += 1
-            return neuron(*fields)
+        def counted_index(self):
+            calls["hidden_neurons"] += 1
+            return index(self)
 
+        counted = cached_property(counted_index)
+        counted.__set_name__(SupportPattern, "hidden_neurons")
         monkeypatch.setattr(SupportPattern, "__post_init__", counted_post_init)
-        monkeypatch.setattr(patterns, "HiddenNeuron", counted_neuron)
+        monkeypatch.setattr(SupportPattern, "hidden_neurons", counted)
         report = check_theorem5_conditions(pattern)
         assert len(report.subset_verdicts) == 4095
-        # one entry per hidden neuron of the parent: each subset reads its
-        # kept neurons' entries of the parent's index
-        assert calls == {"HiddenNeuron": 12}
+        # the parent's index is built once: each subset holds its kept
+        # neurons' pairs of it
+        assert calls == {"hidden_neurons": 1}
 
     @pytest.mark.parametrize("dims", [(5, 12, 4), (4, 12, 4)])
     def test_subset_verdicts_build_no_masks(self, monkeypatch, dims):
@@ -194,7 +197,7 @@ class TestSufficientCondition:
 class TestDisjointBlocks:
     def test_one_neuron_to_one_output_is_a_coordinate_group(self):
         pattern = SupportPattern(dims=(3, 2, 1), masks=(frozenset({(0, 1)}), frozenset({(0, 0)})))
-        assert _disjoint_blocks(pattern) == ([(0b1, 0b10, [0])], [])
+        assert _disjoint_blocks(pattern) == ([(0b1, 0b10, 1)], [])
 
     def test_neurons_without_both_sides_are_dropped(self):
         pattern = SupportPattern(dims=(3, 2, 1), masks=(frozenset({(0, 1)}), frozenset()))
@@ -207,7 +210,7 @@ class TestDisjointBlocks:
             dims=(2, 2, 2),
             masks=(frozenset({(0, 0), (0, 1), (1, 0)}), frozenset({(0, 0), (0, 1), (1, 1)})),
         )
-        assert _disjoint_blocks(pattern) == ([(0b1, 0b11, [0]), (0b11, 0b1, [1])], [])
+        assert _disjoint_blocks(pattern) == ([(0b1, 0b11, 1), (0b11, 0b1, 1)], [])
 
     def test_equal_supports_form_one_bounded_rank_group(self):
         # two neurons on the whole 3 x 3 rectangle: rank at most 2
@@ -216,7 +219,7 @@ class TestDisjointBlocks:
             masks=(frozenset((r, c) for r in (0, 2) for c in range(3)),
                    frozenset((r, c) for r in range(3) for c in (0, 2))),
         )
-        assert _disjoint_blocks(pattern) == ([], [(0b111, 0b111, [0, 2])])
+        assert _disjoint_blocks(pattern) == ([], [(0b111, 0b111, 2)])
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_lu_never_passes(self, d):

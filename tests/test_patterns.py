@@ -106,18 +106,35 @@ class TestMasksGivenAsLists:
     # the rank-one pattern is one rank-one block on the whole matrix, closed
     LU2 = [[(0, 0), (0, 1), (1, 1), (1, 1)], [(0, 0), (1, 0), (1, 1), (0, 0)]]
     RANK_ONE = [[[0, 0], [0, 0], [0, 1]], [[0, 0], [1, 0], [1, 1]]]
+    # numpy-integer indices, as np.argwhere gives them: 1 << np.int64(64) is
+    # 0, so neuron 0's columns {64, 65} once read as empty and the two
+    # overlapping rank-one blocks as one, a false CLOSED
+    WIDE = [[tuple(pair) for pair in np.argwhere(mask_array)]
+            for mask_array in SupportPattern(dims=(66, 2, 2), masks=(
+                frozenset({(0, 64), (0, 65), (1, 0), (1, 64)}),
+                frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))).mask_arrays]
 
-    @pytest.mark.parametrize("masks, status", [
-        (LU2, Closedness.NOT_CLOSED),
-        (RANK_ONE, Closedness.CLOSED),
-    ], ids=["lu2", "rank-one"])
-    def test_list_forms_equal_their_frozenset_forms(self, masks, status):
-        given = SupportPattern(dims=[2, 2, 2], masks=masks)
-        frozen = SupportPattern(dims=(2, 2, 2), masks=tuple(frozenset(map(tuple, m)) for m in masks))
+    @pytest.mark.parametrize("dims, masks, status", [
+        ([2, 2, 2], LU2, Closedness.NOT_CLOSED),
+        ([2, 2, 2], RANK_ONE, Closedness.CLOSED),
+        ([66, 2, 2], WIDE, Closedness.UNKNOWN),
+    ], ids=["lu2", "rank-one", "numpy-int-wide"])
+    def test_list_forms_equal_their_frozenset_forms(self, dims, masks, status):
+        given = SupportPattern(dims=dims, masks=masks)
+        frozen = SupportPattern(dims=tuple(dims),
+                                masks=tuple(frozenset((int(r), int(c)) for r, c in m) for m in masks))
         assert given == frozen and hash(given) == hash(frozen)
-        assert given.dims == (2, 2, 2) and all(type(m) is frozenset for m in given.masks)
+        assert given.dims == tuple(dims) and all(type(m) is frozenset for m in given.masks)
+        assert all(type(i) is int for m in given.masks for pair in m for i in pair)
         assert closedness_verdict(given) == closedness_verdict(frozen)
         assert closedness_verdict(given).status is status
+
+    @pytest.mark.parametrize("entry, name", [((0.5, 0), "0.5"), ((0, True), "True"),
+                                             ((np.float64(1.0), 0), repr(np.float64(1.0)))])
+    def test_a_float_or_bool_index_is_refused_by_name(self, entry, name):
+        # unchecked, (0.5, 0) passed the bounds and failed later in mask_arrays
+        with pytest.raises(ValueError, match=f"^mask 1 entry index {re.escape(name)} is not an integer$"):
+            SupportPattern(dims=(2, 2, 2), masks=(frozenset({(0, 0), entry}), frozenset()))
 
     def test_lu2_gets_the_anti_diagonal_witness(self):
         pattern = SupportPattern(dims=[2, 2, 2], masks=self.LU2)
@@ -140,7 +157,7 @@ class TestIsLuPattern:
 
     def test_agrees_with_comparison_to_lu_pattern(self):
         rng = np.random.default_rng(8)
-        for d in range(1, 5):
+        for d in (1, 2, 3, 4, 65):  # lu(65)'s signatures pass bit 63
             lu = lu_pattern(d)
             assert is_lu_pattern(lu)
             for _ in range(50):

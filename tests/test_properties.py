@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import compress_reference
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparse_closure.closure import RULE_DISJOINT_BLOCKS, closedness_verdict
@@ -79,13 +79,38 @@ def test_nested_restriction_collapses(pattern, data):
     assert direct == nested
 
 
+@st.composite
+def compressions(draw):
+    # a pattern, hidden neurons to keep, and neurons of that child to keep
+    pattern = draw(two_layer_patterns())
+    outer = draw(st.lists(st.integers(0, pattern.dims[1] - 1), min_size=1))
+    inner = draw(st.lists(st.integers(0, len(set(outer)) - 1), min_size=1))
+    return pattern, outer, inner
+
+
+def rectangle(rows, cols):
+    return frozenset((r, c) for r in rows for c in cols)
+
+
+# signatures past bit 63 on both sides: neurons 0 and 1 share one rectangle,
+# neuron 4 has no input, and neuron 5 meets neuron 0's rectangle.  Its
+# example below keeps all but neuron 2 (unknown), then neurons 0, 1 and 3
+# (closed)
+WIDE = SupportPattern(dims=(70, 6, 130), masks=(
+    rectangle((0, 1), range(60, 70)) | rectangle((2,), range(3)) | rectangle((3,), range(64, 67))
+    | rectangle((5,), (65, 69)),
+    rectangle(range(100, 130), (0, 1)) | rectangle((64, 65), (2,)) | rectangle((0,), (3,))
+    | rectangle(range(70, 81), (4,)) | rectangle((128, 129), (5,)),
+))
+
+
 @settings(max_examples=150, deadline=None)
-@given(two_layer_patterns(), st.data())
-def test_compression_matches_the_whole_mask_reference(pattern, data):
+@given(compressions())
+@example((WIDE, [5, 4, 3, 1, 0, 3], [2, 0, 1]))
+def test_compression_matches_the_whole_mask_reference(case):
     # the small masks leave many neurons with an empty side; the second
     # compression reads the index slice the first one handed its child
-    outer = data.draw(st.lists(st.integers(0, pattern.dims[1] - 1), min_size=1))
-    inner = data.draw(st.lists(st.integers(0, len(set(outer)) - 1), min_size=1))
+    pattern, outer, inner = case
     child = compress_hidden(pattern, outer)
     reference = compress_reference.compress_hidden(pattern, outer)
     pairs = [(child, reference),
