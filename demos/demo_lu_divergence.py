@@ -10,7 +10,7 @@ Run from the repository root:  python demos/demo_lu_divergence.py
 
 import tempfile
 
-from sparse_closure.experiments import anti_diagonal_identity, desk_spec, run_experiment
+from sparse_closure.experiments import desk_spec, run_experiment
 
 print("training the lower-upper pattern toward the anti-diagonal identity")
 print("d=10, 2000 samples, 60 epochs, 3 seeds per setting\n")
@@ -40,7 +40,6 @@ with tempfile.TemporaryDirectory() as tmp:
         growth = agg["frob_W2_mean"][-1] / agg["frob_W2_mean"][0]
         print(f"second-layer norm grew {growth:.1f}x over the run\n")
 
-target = anti_diagonal_identity(10)
 print("the target matrix is the anti-diagonal identity; the unregularized")
 print("run fits it better and better only by sending weights to infinity,")
 print("while the regularized run trades fit quality for bounded parameters.")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .patterns import SupportPattern, compress_hidden, is_lu_pattern
+from .patterns import SupportPattern, compress_hidden
 from .rational import RationalMatrix, matrix, rank, submatrix
 
 
@@ -123,21 +123,27 @@ def closedness_verdict(pattern: SupportPattern) -> ClosednessVerdict:
        factorization with fixed support" (SIAM J. Matrix Anal. Appl.,
        2023).  Scalar output (|R| = 1), dense layers (one group) and the
        two-factor butterfly supports are such patterns;
-    3. the triangular lower-upper pattern: not closed, anti-diagonal witness
-       (for d >= 2 its first and last neurons overlap, so rule 2 fails);
+    3. the triangular lower-upper pattern lu(d), hidden neurons in any
+       order: not closed, anti-diagonal witness.  Neuron k of lu(d) has the
+       signature ((1 << d) - (1 << k)) twice; for d >= 2 the first and last
+       overlap, so rule 2 fails (lu(1) is one coordinate group);
     4. otherwise unknown (smt.emit_qe_sentence writes the sentence that
        would decide it).
+
+    Rules 2 and 3 read a pattern only through the multiset of its hidden
+    neurons' signatures (R_k, C_k), so relabelling the hidden neurons
+    (W2 P^T, P W1: the same product set) keeps the verdict.
     """
     if pattern.depth == 1:
         return ClosednessVerdict(Closedness.CLOSED, rule=RULE_SINGLE_LAYER)
     if pattern.depth == 2 and _disjoint_blocks(pattern) is not None:
         return ClosednessVerdict(Closedness.CLOSED, rule=RULE_DISJOINT_BLOCKS)
-    if is_lu_pattern(pattern) and pattern.dims[0] >= 2:
-        return ClosednessVerdict(
-            Closedness.NOT_CLOSED,
-            rule=RULE_LU_GAP,
-            witness=closure_gap_witness_lu(pattern.dims[0]),
-        )
+    d = pattern.dims[0]
+    if pattern.dims == (d, d, d) and all(
+        r == c == (1 << d) - (1 << k)  # lu(d)'s signatures decrease with k
+        for k, (r, c) in enumerate(sorted(pattern.hidden_neurons, reverse=True))
+    ):
+        return ClosednessVerdict(Closedness.NOT_CLOSED, rule=RULE_LU_GAP, witness=closure_gap_witness_lu(d))
     return ClosednessVerdict(Closedness.UNKNOWN)
 
 
@@ -176,7 +182,9 @@ def check_theorem5_conditions(
     closedness_verdict.  The pattern's hidden_neurons index is built once;
     each compressed subset holds its kept neurons' (R_k, C_k) pairs in
     place of masks, and its verdict reads only those pairs, so a subset
-    costs what those neurons carry.
+    costs what those neurons carry.  Its verdict is a function of the
+    multiset of those pairs: subsets whose kept neurons carry the same
+    signatures, in any order, get the same verdict.
     """
     if pattern.depth != 2:
         raise ValueError("the sufficient condition applies to two-layer patterns")

@@ -2,7 +2,8 @@
 
 A two-layer network with triangular supports is trained toward the linear
 map x -> Jx, J the anti-diagonal identity, the canonical target that the
-architecture can approximate but never realize.  Without weight decay the
+architecture can approximate but never realize: closedness_verdict's gap
+witness for lu(d), taken as floats.  Without weight decay the
 factor norms grow without bound while both losses keep improving; with the
 standard decay the norms stay put at the price of a worse fit.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .closure import closure_gap_witness_lu
+from .closure import closedness_verdict
 from .patterns import lu_pattern
 from .relu import TrainingConfig, TrainingTrace, init_params, train, write_trace_csv
 
@@ -86,11 +87,6 @@ def desk_spec(regularized: bool, out_dir, **overrides) -> ExperimentSpec:
     return ExperimentSpec(out_dir=Path(out_dir), config=TrainingConfig(**config), **overrides)
 
 
-def anti_diagonal_identity(d: int) -> np.ndarray:
-    """closure_gap_witness_lu(d) as floats: the training target."""
-    return np.array(closure_gap_witness_lu(d), dtype=float)
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     traces: tuple[TrainingTrace, ...]
@@ -139,7 +135,8 @@ def _train_runs(spec: ExperimentSpec, runs) -> ExperimentResult:
         networks.append(init_params(pattern, rng, scale=spec.init_scale))
     w1 = tuple(float(np.linalg.norm(net.weights[0])) for net in networks)
     w2 = tuple(float(np.linalg.norm(net.weights[1])) for net in networks)
-    result = train(networks, samples.swapaxes(1, 2), anti_diagonal_identity(d), spec.config, rngs)
+    target = np.array(closedness_verdict(pattern).witness, dtype=float)
+    result = train(networks, samples.swapaxes(1, 2), target, spec.config, rngs)
     return ExperimentResult(traces=tuple(result.traces), initial_w1=w1, initial_w2=w2)
 
 

@@ -93,8 +93,9 @@ def infimum_oracle(
             f"target shape {A.shape} does not match pattern "
             f"({pattern.output_dim}, {pattern.input_dim})"
         )
-    if not np.all(np.isfinite(A)):
-        raise ValueError("target must be finite")
+    with np.errstate(over="ignore"):  # inf or nan entries, or squares past the float range
+        if not np.isfinite(np.sum(A * A)):
+            raise ValueError("target must be finite, and so must its squared Frobenius norm")
     budget = _integer(budget, "budget")
     restarts = _integer(restarts, "restarts")
     seed = _integer(seed, "seed")

@@ -21,6 +21,8 @@ if TYPE_CHECKING:
 
 Mask = frozenset[tuple[int, int]]
 
+NEURON_INDEX_CAP = 2**30 // 81  # hidden_neurons peaks at about 81 bytes a neuron
+
 
 @dataclass(frozen=True)
 class SupportPattern:
@@ -119,10 +121,14 @@ class SupportPattern:
         """The one encoding of a hidden neuron k of a two-layer pattern: its
         signature (R_k, C_k), bitmasks of the output rows of column k of the
         second mask and the input columns of row k of the first, built on
-        first use.  The rank-one-block rule and is_lu_pattern read it, and a
-        compress_hidden child holds the kept neurons' pairs in place of masks."""
+        first use; refused past NEURON_INDEX_CAP neurons.  Both two-layer
+        rules of closure.closedness_verdict read it, and a compress_hidden
+        child holds the kept neurons' pairs in place of masks."""
         if self.depth != 2:
             raise ValueError("hidden neurons are indexed for two-layer patterns")
+        if self.dims[1] > NEURON_INDEX_CAP:
+            raise ValueError(f"refusing to index {self.dims[1]} hidden neurons "
+                             f"(cap {NEURON_INDEX_CAP}, about 81 bytes each)")
         rows, cols = [0] * self.dims[1], [0] * self.dims[1]
         for k, c in self.masks[0]:
             cols[k] |= 1 << c
@@ -210,17 +216,6 @@ def lu_pattern(d: int) -> SupportPattern:
     upper = frozenset((i, j) for i in range(d) for j in range(d) if i <= j)
     lower = frozenset((i, j) for i in range(d) for j in range(d) if i >= j)
     return SupportPattern(dims=(d, d, d), masks=(upper, lower))
-
-
-def is_lu_pattern(pattern: SupportPattern) -> bool:
-    """pattern == lu_pattern(d), without building it or reading the masks:
-    hidden neuron k of lu(d) reads inputs k..d-1 (row k of the upper
-    triangle) and writes outputs k..d-1 (column k of the lower one): its
-    signature in pattern.hidden_neurons is ((1 << d) - (1 << k)) twice."""
-    d = pattern.dims[0]
-    if pattern.dims != (d, d, d):  # so two layers
-        return False
-    return all(r == c == (1 << d) - (1 << k) for k, (r, c) in enumerate(pattern.hidden_neurons))
 
 
 def _hidden_subset(pattern: SupportPattern, hidden: Iterable[int], operation: str) -> list[int]:

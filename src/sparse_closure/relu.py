@@ -253,9 +253,11 @@ def metrics(params: NetworkParams, inputs, targets, target_matrix) -> tuple[floa
     if params.pattern.depth != 2:
         raise ValueError("metrics are defined for two-layer networks")
     a = np.asarray(target_matrix, dtype=float)
-    a_norm_sq = float(np.sum(a**2))
-    if a_norm_sq == 0.0:
-        raise ValueError("target matrix is zero: relative Jacobian loss undefined")
+    with np.errstate(over="ignore"):
+        a_norm_sq = float(np.sum(a**2))
+    if not 0.0 < a_norm_sq < math.inf:  # nan included
+        raise ValueError("target matrix is zero or its squared norm is not finite: "
+                         "relative Jacobian loss undefined")
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     out = forward(params, x)

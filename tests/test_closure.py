@@ -1,13 +1,16 @@
 from collections import Counter
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 import pytest
 import compress_reference
+import lu_reference
+from atlas import atlas
 from block_reference import bit_indices, butterfly_pattern
 from check_report import report_to_json
 
-from sparse_closure import closure
+from sparse_closure import closure, patterns
 from sparse_closure.closure import (
     RULE_DISJOINT_BLOCKS,
     RULE_LU_GAP,
@@ -21,8 +24,8 @@ from sparse_closure.closure import (
 )
 from sparse_closure.patterns import (
     SupportPattern,
+    compress_hidden,
     dense_pattern,
-    is_lu_pattern,
     lu_pattern,
     validate_pattern,
 )
@@ -231,17 +234,21 @@ class TestDisjointBlocks:
 
 def parent_verdict(pattern):
     """The dispatch before the rank-one-block rule: one layer, scalar output
-    and dense two layers closed, lu(d) for d >= 2 not closed."""
+    and dense two layers closed, lu(d) for d >= 2 in its own hidden
+    labelling not closed."""
     if pattern.depth == 1:
         return ClosednessVerdict(Closedness.CLOSED, rule="single-layer-coordinate-subspace")
     if pattern.depth == 2 and pattern.output_dim == 1:
         return ClosednessVerdict(Closedness.CLOSED, rule="scalar-output-row-support")
     if pattern.depth == 2 and pattern.is_full(0) and pattern.is_full(1):
         return ClosednessVerdict(Closedness.CLOSED, rule="dense-bounded-rank")
-    if is_lu_pattern(pattern) and pattern.dims[0] >= 2:
-        return ClosednessVerdict(Closedness.NOT_CLOSED, rule=RULE_LU_GAP,
-                                 witness=closure_gap_witness_lu(pattern.dims[0]))
+    if lu_reference.is_lu_pattern(pattern) and pattern.dims[0] >= 2:
+        return lu_gap(pattern.dims[0])
     return ClosednessVerdict(Closedness.UNKNOWN)
+
+
+def lu_gap(d):
+    return ClosednessVerdict(Closedness.NOT_CLOSED, rule=RULE_LU_GAP, witness=closure_gap_witness_lu(d))
 
 
 class TestAgainstTheParentDispatch:
@@ -288,3 +295,116 @@ class TestButterfly:
         assert all(sv.rule == RULE_DISJOINT_BLOCKS for sv in report.subset_verdicts)
         # the output mask is not full, so the sufficient condition fails
         assert report.holds is False
+
+
+def relabelled(pattern, hidden, rows, cols):
+    first, second = pattern.masks
+    return SupportPattern(pattern.dims, (frozenset((hidden[k], cols[c]) for k, c in first),
+                                         frozenset((rows[r], hidden[k]) for r, k in second)))
+
+
+class TestLuRule:
+    def test_decided_without_building_the_lu_pattern(self, monkeypatch):
+        def no_build(d):
+            pytest.fail("lu_pattern was built")
+
+        monkeypatch.setattr(patterns, "lu_pattern", no_build)
+        # neuron 0 on {0,1} x {0,1} meets the coordinate neuron 1 on {0} x {0},
+        # so the block rule fails and the LU rule sorts 10^6 signatures
+        n = 10**6
+        overlap = SupportPattern(dims=(n, n, n), masks=(frozenset({(0, 0), (0, 1), (1, 0)}),
+                                                        frozenset({(0, 0), (1, 0), (0, 1)})))
+        assert closedness_verdict(overlap) == ClosednessVerdict(Closedness.UNKNOWN)
+
+    def test_agrees_with_the_mask_reference(self):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3, 4, 65):  # lu(65)'s signatures pass bit 63
+            lu = lu_pattern(d)
+            relabellings = {relabelled(lu, perm, range(d), range(d))
+                            for perm in (permutations(range(d)) if d <= 4 else ())}
+            for _ in range(50):
+                # drop, add or move entries of lu(d), or take a random pattern
+                masks = tuple(
+                    frozenset(
+                        (r, c) for r in range(d) for c in range(d)
+                        if ((r, c) in m) != (rng.random() < 0.15)
+                    )
+                    for m in lu.masks
+                )
+                if rng.random() < 0.3:
+                    masks = (masks[1], masks[0])
+                pattern = SupportPattern(dims=(d, d, d), masks=masks)
+                want = lu_reference.is_lu_relabelling(pattern)
+                assert (closedness_verdict(pattern).rule == RULE_LU_GAP) is (d >= 2 and want)
+                if d <= 4:  # the reference against every relabelling
+                    assert want is (pattern in relabellings)
+            assert lu_reference.is_lu_relabelling(lu)
+
+    @staticmethod
+    def one_pair_edits(pattern):
+        # every copy with one pair of one mask added or removed
+        d = pattern.dims[0]
+        for i in range(2):
+            for pair in ((r, c) for r in range(d) for c in range(d)):
+                masks = list(pattern.masks)
+                masks[i] = masks[i] ^ {pair}
+                yield SupportPattern(pattern.dims, tuple(masks))
+
+    def panel(self):
+        # (how lu(d) was edited, the edited pattern)
+        rng = np.random.default_rng(30)
+        for d in range(1, 7):
+            lu = lu_pattern(d)
+            identity = tuple(range(d))
+            if d <= 4:
+                perms = list(permutations(identity))
+            else:
+                perms = [identity] + [tuple(int(v) for v in rng.permutation(d)) for _ in range(40)]
+            for perm in perms:
+                yield "hidden", relabelled(lu, perm, identity, identity)
+                yield "rows", relabelled(lu, identity, perm, identity)
+                yield "cols", relabelled(lu, identity, identity, perm)
+            if d <= 5:
+                for pattern in self.one_pair_edits(lu):
+                    yield "edit", pattern
+
+    def test_the_index_decides_what_the_masks_decide(self):
+        found = Counter()
+        for kind, pattern in self.panel():
+            d = pattern.dims[0]
+            want = lu_reference.is_lu_relabelling(pattern)
+            verdict = closedness_verdict(pattern)
+            assert (verdict.rule == RULE_LU_GAP) is (d >= 2 and want), pattern
+            if kind == "hidden" and d >= 2:
+                assert verdict == lu_gap(d)
+            else:
+                # the block rule, then lu(d) in its own labelling only
+                blocks = _disjoint_blocks(pattern) is not None
+                old = lu_reference.is_lu_pattern(pattern) and not blocks
+                assert verdict.status is (Closedness.CLOSED if blocks else
+                                          Closedness.NOT_CLOSED if old else Closedness.UNKNOWN)
+            # a compressed child is decided from the index it inherits,
+            # without building its masks
+            child = compress_hidden(pattern, range(pattern.dims[1]))
+            assert closedness_verdict(child) == verdict
+            assert "masks" not in vars(child)
+            if kind in ("rows", "cols"):  # only the identity keeps lu(d)
+                assert want is (pattern == lu_pattern(d))
+            found[kind, want] += 1
+        # lu(d) and every relabelling of it for d <= 4, 40 more each for d = 5, 6
+        assert found["hidden", True] == 1 + 2 + 6 + 24 + 2 * 41
+        assert found["rows", True] >= 6 and found["rows", False] > 100
+        assert found["edit", False] == 2 * (1 + 4 + 9 + 16 + 25) and found["edit", True] == 0
+
+
+class TestAtlas:
+    @pytest.mark.parametrize("dims, closed, gaps, unknown", [
+        ((2, 2, 2), 240, 2, 14),  # the gaps: lu(2) and its relabelling
+        ((2, 3, 2), 3_568, 0, 528),
+    ])
+    def test_every_pattern_of_a_shape(self, dims, closed, gaps, unknown):
+        assert atlas(dims) == Counter({
+            (Closedness.CLOSED, RULE_DISJOINT_BLOCKS): closed,
+            (Closedness.NOT_CLOSED, RULE_LU_GAP): gaps,
+            (Closedness.UNKNOWN, None): unknown,
+        })  # a missing key counts as zero

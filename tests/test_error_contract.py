@@ -15,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sparse_closure.cli import EXIT_PARSE_ERROR, main
-from sparse_closure.patterns import lu_pattern, pattern_to_json
+from sparse_closure.cli import EXIT_PARSE_ERROR, EXIT_USAGE, main
+from sparse_closure.patterns import NEURON_INDEX_CAP, lu_pattern, pattern_to_json
 
 FUZZ = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -184,3 +184,18 @@ def test_malformed_target_exits_3(tmp_path, capsys, document):
     code, err = run(tmp_path, capsys, "a.json", document, argv)
     assert code == EXIT_PARSE_ERROR, (document, err)
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--pattern", "{file}"],
+    ["gen-dataset", "--pattern", "{file}", "--p", "2", "--out", "{tmp}/d"],
+], ids=["check", "gen-dataset"])
+@pytest.mark.parametrize("width", [10**20, NEURON_INDEX_CAP + 1], ids=["1e20", "cap+1"])
+def test_a_hidden_layer_too_wide_to_index_exits_4(tmp_path, capsys, argv, width):
+    # unchecked, [0] * N_1 raised OverflowError at 10^20 (exit 1, the
+    # not-closed code, with a traceback) and would try to allocate gigabytes
+    # below it; neither width is ever allocated here
+    document = {"dims": [2, width, 2], "masks": [[], []]}
+    code, err = run(tmp_path, capsys, "pattern.json", document, argv)
+    assert code == EXIT_USAGE, err
+    assert err == f"error: refusing to index {width} hidden neurons (cap {NEURON_INDEX_CAP}, about 81 bytes each)\n"

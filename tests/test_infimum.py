@@ -146,6 +146,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="budget"):
             infimum_oracle(np.eye(2), lu_pattern(2), budget=0)
 
+    @pytest.mark.parametrize("s", [1e154, 1e200, 1e308])
+    def test_a_target_whose_squared_norm_overflows_is_refused(self, s):
+        # unchecked, with warnings ignored, every restart's distance was inf
+        # at 1e200 (a TypeError on the best factors, never set) and the SVD
+        # did not converge at 1e308; the check itself warns of nothing
+        with pytest.raises(ValueError, match="^target must be finite, and so must its squared Frobenius norm$"):
+            infimum_oracle([[0, s], [s, 0]], lu_pattern(2), budget=2000)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             infimum_oracle(np.eye(3), lu_pattern(2), budget=10)

@@ -1,20 +1,15 @@
 import re
-from collections import Counter
-from itertools import permutations
 
-import lu_reference
 import numpy as np
 import pytest
 from fractions import Fraction
 
-from sparse_closure import patterns
 from sparse_closure.closure import Closedness, closedness_verdict, closure_gap_witness_lu
 from sparse_closure.patterns import (
     SparseFactors,
     SupportPattern,
     compress_hidden,
     dense_pattern,
-    is_lu_pattern,
     lu_pattern,
     masked_factors,
     pattern_to_json,
@@ -101,8 +96,8 @@ class TestValidatePattern:
 
 
 class TestMasksGivenAsLists:
-    # is_full and is_lu_pattern count mask pairs, so a repeated pair in a list
-    # mask once made lu(2) look dense and a rank-one pattern look like lu(2);
+    # is_full and the LU matcher once counted mask pairs, so a repeated pair in
+    # a list mask made lu(2) look dense and a rank-one pattern look like lu(2);
     # the rank-one pattern is one rank-one block on the whole matrix, closed
     LU2 = [[(0, 0), (0, 1), (1, 1), (1, 1)], [(0, 0), (1, 0), (1, 1), (0, 0)]]
     RANK_ONE = [[[0, 0], [0, 0], [0, 1]], [[0, 0], [1, 0], [1, 1]]]
@@ -144,81 +139,6 @@ class TestMasksGivenAsLists:
     def test_frozenset_masks_are_kept_as_given(self):
         masks = lu_pattern(3).masks
         assert SupportPattern(dims=(3, 3, 3), masks=masks).masks is masks
-
-
-class TestIsLuPattern:
-    def test_decided_without_building_the_lu_pattern(self, monkeypatch):
-        def no_build(d):
-            pytest.fail("lu_pattern was built")
-
-        monkeypatch.setattr(patterns, "lu_pattern", no_build)
-        empty = SupportPattern(dims=(10**6,) * 3, masks=(frozenset(), frozenset()))
-        assert is_lu_pattern(empty) is False
-
-    def test_agrees_with_comparison_to_lu_pattern(self):
-        rng = np.random.default_rng(8)
-        for d in (1, 2, 3, 4, 65):  # lu(65)'s signatures pass bit 63
-            lu = lu_pattern(d)
-            assert is_lu_pattern(lu)
-            for _ in range(50):
-                # drop, add or move entries of lu(d), or take a random pattern
-                masks = tuple(
-                    frozenset(
-                        (r, c) for r in range(d) for c in range(d)
-                        if ((r, c) in m) != (rng.random() < 0.15)
-                    )
-                    for m in lu.masks
-                )
-                if rng.random() < 0.3:
-                    masks = (masks[1], masks[0])
-                pattern = SupportPattern(dims=(d, d, d), masks=masks)
-                assert is_lu_pattern(pattern) == (pattern == lu)
-
-    @staticmethod
-    def relabelled(pattern, hidden, rows, cols):
-        first, second = pattern.masks
-        return SupportPattern(pattern.dims, (frozenset((hidden[k], cols[c]) for k, c in first),
-                                             frozenset((rows[r], hidden[k]) for r, k in second)))
-
-    @staticmethod
-    def one_pair_edits(pattern):
-        # every copy with one pair of one mask added or removed
-        d = pattern.dims[0]
-        for i in range(2):
-            for pair in ((r, c) for r in range(d) for c in range(d)):
-                masks = list(pattern.masks)
-                masks[i] = masks[i] ^ {pair}
-                yield SupportPattern(pattern.dims, tuple(masks))
-
-    def panel(self):
-        rng = np.random.default_rng(30)
-        for d in range(1, 7):
-            lu = lu_pattern(d)
-            yield lu
-            identity = tuple(range(d))
-            if d <= 4:
-                perms = list(permutations(identity))
-            else:
-                perms = [tuple(int(v) for v in rng.permutation(d)) for _ in range(40)]
-            for perm in perms:
-                yield self.relabelled(lu, perm, identity, identity)
-                yield self.relabelled(lu, identity, perm, identity)
-                yield self.relabelled(lu, identity, identity, perm)
-            if d <= 5:
-                yield from self.one_pair_edits(lu)
-
-    def test_the_index_decides_what_the_masks_decide(self):
-        found = Counter()
-        for pattern in self.panel():
-            want = lu_reference.is_lu_pattern(pattern)
-            assert is_lu_pattern(pattern) is want, pattern
-            # a compressed child is decided from the index it inherits,
-            # without building its masks
-            child = compress_hidden(pattern, range(pattern.dims[1]))
-            assert is_lu_pattern(child) is want, pattern
-            assert "masks" not in vars(child)
-            found[want] += 1
-        assert found[True] >= 6 and found[False] > 400
 
 
 class TestRestrictToHidden:

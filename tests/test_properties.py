@@ -10,8 +10,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparse_closure.closure import RULE_DISJOINT_BLOCKS, closedness_verdict
-from sparse_closure.patterns import SupportPattern, compress_hidden, restrict_to_hidden
+from sparse_closure.closure import RULE_DISJOINT_BLOCKS, check_theorem5_conditions, closedness_verdict
+from sparse_closure.patterns import SupportPattern, compress_hidden, lu_pattern, restrict_to_hidden
 from sparse_closure.polyhedra import contains, eliminate_variable, polyhedron
 from sparse_closure.smt import emit_qe_sentence
 
@@ -158,13 +158,48 @@ def test_a_lazy_child_is_the_reference_compression_before_and_after_its_masks_ar
     assert eval(texts.pop(), namespace) == reference
 
 
+def relabel_hidden(pattern, perm):
+    # hidden neuron k becomes neuron perm[k]: W2 P^T and P W1, the same products
+    first, second = pattern.masks
+    return SupportPattern(dims=pattern.dims, masks=(
+        frozenset((perm[k], c) for k, c in first),
+        frozenset((r, perm[k]) for r, k in second),
+    ))
+
+
+@st.composite
+def hidden_relabellings(draw):
+    pattern = draw(two_layer_patterns())
+    return pattern, tuple(draw(st.permutations(range(pattern.dims[1]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hidden_relabellings())
+# lu(3) relabelled, and a relabelled lu(4) put back in lu(4)'s own order:
+# random draws almost never give either
+@example((lu_pattern(3), (2, 0, 1)))
+@example((relabel_hidden(lu_pattern(4), (3, 1, 0, 2)), (2, 1, 3, 0)))
+def test_hidden_relabelling_keeps_every_verdict(case):
+    # every rule reads the multiset of hidden signatures, so the verdict,
+    # witness included, and each Theorem-5 subset verdict carry over
+    pattern, perm = case
+    permuted = relabel_hidden(pattern, perm)
+    assert closedness_verdict(permuted) == closedness_verdict(pattern)
+    report, moved = check_theorem5_conditions(pattern), check_theorem5_conditions(permuted)
+    by_subset = {sv.hidden: (sv.status, sv.rule) for sv in moved.subset_verdicts}
+    for sv in report.subset_verdicts:
+        assert by_subset[tuple(sorted(perm[k] for k in sv.hidden))] == (sv.status, sv.rule)
+    assert moved.holds is report.holds
+
+
 @settings(max_examples=150, deadline=None)
 @given(two_layer_patterns(), st.data())
 def test_verdict_invariant_under_permutations(pattern, data):
     # relabelling inputs, hidden neurons or outputs maps the set onto an
     # isomorphic one, and the rank-one-block rule must not see the labels.
-    # The LU matcher knows lu(d) only in its own labelling, so a permuted
-    # lu(d) is unknown and the property is stated for the rule's verdicts
+    # The LU matcher knows lu(d) only with its inputs and outputs in their
+    # own order, so a row- or column-relabelled lu(d) is unknown and the
+    # property is stated for the rule's verdicts
     n0, n1, n2 = pattern.dims
     p0, p1, p2 = (data.draw(st.permutations(range(n))) for n in (n0, n1, n2))
     permuted = SupportPattern(dims=pattern.dims, masks=(
@@ -177,9 +212,12 @@ def test_verdict_invariant_under_permutations(pattern, data):
 
 @settings(max_examples=150, deadline=None)
 @given(two_layer_patterns())
+@example(relabel_hidden(lu_pattern(3), (1, 2, 0)))
+@example(relabel_hidden(lu_pattern(4), (3, 1, 0, 2)))
 def test_verdict_invariant_under_transposition(pattern):
     # (W2 W1)^T = W1^T W2^T: the transposed set belongs to the reversed dims
-    # with the masks transposed and swapped (lu(d) is its own transpose)
+    # with the masks transposed and swapped, and holds the transposed witness
+    # (a hidden relabelling of lu(d) transposes to one)
     first, second = pattern.masks
     transposed = SupportPattern(dims=pattern.dims[::-1], masks=(
         frozenset((c, r) for r, c in second),
@@ -187,6 +225,7 @@ def test_verdict_invariant_under_transposition(pattern):
     ))
     before, after = closedness_verdict(pattern), closedness_verdict(transposed)
     assert (after.status, after.rule) == (before.status, before.rule)
+    assert after.witness == (before.witness and tuple(zip(*before.witness)))
 
 
 @settings(max_examples=40, deadline=None)

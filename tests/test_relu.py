@@ -435,10 +435,13 @@ class TestMetrics:
         out = forward(params, np.array([1.0]))[0]
         assert rel_emp == pytest.approx((out - 1.0) ** 2, rel=1e-12)
 
-    def test_zero_target_matrix_rejected(self):
+    @pytest.mark.parametrize("a", [0.0, 1e160, np.inf, np.nan], ids=["zero", "overflow", "inf", "nan"])
+    def test_zero_or_non_finite_target_matrix_rejected(self, a):
+        # unchecked, the last three gave a nan relative Jacobian loss
+        # (1e160 with warnings ignored: its square overflows)
         params = single_neuron_params(1, 0, 1, 0)
-        with pytest.raises(ValueError, match="zero"):
-            metrics(params, np.array([[1.0]]), np.array([[1.0]]), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="^target matrix is zero or its squared norm is not finite"):
+            metrics(params, np.array([[1.0]]), np.array([[1.0]]), np.full((1, 1), a))
 
 
 class TestNormalizeFirstLayer:
