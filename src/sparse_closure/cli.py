@@ -5,6 +5,10 @@ Exit codes: 0 success (for `check`: closed), 1 not closed and 2 unknown
 (`check` only), 3 an input file that cannot be read or parsed, 4 a bad
 argument, an exceeded grid or sentence cap or an unwritable output, 5 the
 Fourier-Motzkin row cap.  `main` maps every failure to one of them.
+
+Each input file is read inside `parsing`, which turns any failure to read or
+parse it into an InputError: `main` maps input faults to exit 3 without
+catching faults of the computation that follows.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ import functools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .closure import DEFAULT_MAX_HIDDEN, Closedness, check_theorem5_conditions, closedness_verdict
 from .datasets import DEFAULT_POINT_CAP, build_bad_dataset, dataset_resolution, write_dataset
-from .inputs import InputError, load_input, load_rows, parsing
 from .patterns import load_pattern
 from .polyhedra import DEFAULT_ROW_CAP, RowCapExceeded, project
 from .polyhedra import load as load_polyhedron
@@ -33,6 +37,19 @@ EXIT_VERDICT = {Closedness.CLOSED: 0, Closedness.NOT_CLOSED: 1, Closedness.UNKNO
 EXIT_PARSE_ERROR = 3
 EXIT_USAGE = 4
 EXIT_ROW_CAP = 5
+
+
+class InputError(Exception):
+    """An input file could not be read or parsed."""
+
+
+@contextmanager
+def parsing(path):
+    """Turn any read or parse failure inside the block into an InputError."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise InputError(f"cannot parse {path}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,7 +141,8 @@ def _check_writable(*paths) -> None:
 
 
 def cmd_check(args) -> int:
-    pattern = load_input(load_pattern, args.pattern)
+    with parsing(args.pattern):
+        pattern = load_pattern(args.pattern)
     if args.out:
         _check_writable(args.out)
     verdict = closedness_verdict(pattern)
@@ -199,12 +217,17 @@ def cmd_train_lu(args) -> int:
 
 
 def cmd_gen_dataset(args) -> int:
-    pattern = load_input(load_pattern, args.pattern)
+    with parsing(args.pattern):
+        pattern = load_pattern(args.pattern)
     if args.a is not None:
-        rows = load_input(load_rows, args.a)
+        with parsing(args.a), open(args.a) as fh:
+            rows = json.load(fh)
+            lengths = row_lengths(rows)
+            if len(set(lengths)) > 1:
+                raise ValueError("ragged rows in rational matrix")
         # refuse on the file's shape and the grid caps before converting its
         # entries, the slow part for a wide target
-        dataset_resolution(row_lengths(rows), pattern, args.p, args.point_cap)
+        dataset_resolution(lengths, pattern, args.p, args.point_cap)
         with parsing(args.a):
             target = matrix(rows)
     else:
@@ -225,7 +248,8 @@ def cmd_gen_dataset(args) -> int:
 
 
 def cmd_emit_smt(args) -> int:
-    pattern = load_input(load_pattern, args.pattern)
+    with parsing(args.pattern):
+        pattern = load_pattern(args.pattern)
     stats = emit_qe_sentence(pattern, args.out)
     print(json.dumps({"path": args.out, **dataclasses.asdict(stats)}))
     return 0
@@ -236,7 +260,8 @@ def cmd_project(args) -> int:
         keep = [int(tok) - 1 for tok in args.keep.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--keep must be comma-separated integers, got {args.keep!r}") from None
-    poly = load_input(load_polyhedron, args.input)
+    with parsing(args.input):
+        poly = load_polyhedron(args.input)
     _check_writable(args.out)
     projected = project(poly, keep, args.row_cap)
     save_polyhedron(projected, args.out)

@@ -17,7 +17,7 @@ from itertools import product as iter_product
 from math import lcm
 from operator import itemgetter
 
-from .patterns import SupportPattern, pattern_to_json
+from .patterns import SupportPattern, _integer, pattern_to_json
 from .rational import as_fraction, format_fraction, format_matrix, matrix, row_lengths, vector
 
 
@@ -54,7 +54,7 @@ class Grid:
     dimension: int
 
     def __post_init__(self):
-        if self.resolution < 1 or self.dimension < 1:
+        if _integer(self.resolution, "resolution") < 1 or _integer(self.dimension, "dimension") < 1:
             raise ValueError("resolution and dimension must be positive")
 
     @property
@@ -114,9 +114,9 @@ def find_free_hypercube(planes, resolution: int, dimension: int):
     FreeCubeNotFound below that threshold is a legitimate outcome, above it
     it would be a bug and raises RuntimeError instead.
     """
-    if resolution < 1:
+    if _integer(resolution, "resolution") < 1:
         raise ValueError("resolution must be positive")
-    if dimension < 1:
+    if _integer(dimension, "dimension") < 1:
         raise ValueError("dimension must be positive")
     if any(len(plane.normal) != dimension for plane in planes):
         raise ValueError(f"every plane's normal must have length {dimension}")
@@ -177,7 +177,7 @@ def dataset_resolution(lengths, pattern: SupportPattern, p_override: int | None,
             )
         p = theoretical_resolution(pattern)
     else:
-        hint, p = "", p_override
+        hint, p = "", _integer(p_override, "p_override")
     if p < 1:
         raise ValueError("resolution must be positive")
     grid = Grid(resolution=p, dimension=pattern.input_dim)

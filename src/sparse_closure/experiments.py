@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .closure import closedness_verdict
-from .patterns import lu_pattern
+from .patterns import _integer, lu_pattern
 from .relu import TrainingConfig, TrainingTrace, init_params, train, write_trace_csv
 
 # Desk-scale defaults: small enough for laptop minutes, stepped enough for the
@@ -58,6 +58,8 @@ class ExperimentSpec:
     init_scale: float = DESK_INIT_SCALE
 
     def __post_init__(self):
+        for name in ("dimension", "num_samples", "runs"):
+            _integer(getattr(self, name), name)
         if self.dimension < 2:
             raise ValueError("dimension must be >= 2")
         if self.num_samples < self.config.batch_size:

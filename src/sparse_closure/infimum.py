@@ -34,9 +34,11 @@ _STALL_ROUNDS = 12
 _STALL_RTOL = 1e-2
 
 # The polish solves an (N_L*N_0 + M) x M float64 system over the M mask
-# entries, the largest array a search allocates.  A search whose system
-# would pass this many bytes (the budget of experiments.RESIDENT_BYTES_CAP)
-# is refused before anything is allocated.
+# entries.  At once it holds the M x M identity, its damped copy, the
+# (N_L*N_0) x M Jacobian, the stacked system and lstsq's copy of it: at most
+# 3*N_L*N_0*M + 4*M^2 floats, more than any other step of a search.  A search
+# whose polish would pass this many bytes (the budget of
+# experiments.RESIDENT_BYTES_CAP) is refused before anything is allocated.
 SYSTEM_BYTES_CAP = 2**30
 
 
@@ -85,7 +87,7 @@ def infimum_oracle(
     factors found and the largest single-factor Frobenius norm seen along
     the accepted iterates, which is the quantity that diverges when the
     infimum is unattained.
-    Patterns whose polish system would pass SYSTEM_BYTES_CAP are refused.
+    Patterns whose polish would hold more than SYSTEM_BYTES_CAP bytes are refused.
     """
     A = np.asarray(target, dtype=float)
     if A.shape != (pattern.output_dim, pattern.input_dim):
@@ -104,10 +106,10 @@ def infimum_oracle(
     if restarts < 1:
         raise ValueError("need at least one restart")
     entries = sum(pattern.mask_sizes())
-    system_bytes = 8 * (A.size + entries) * entries
-    if system_bytes > SYSTEM_BYTES_CAP:
-        raise ValueError(f"a search over {entries} mask entries would solve a "
-                         f"{system_bytes}-byte system, cap is {SYSTEM_BYTES_CAP}")
+    polish_bytes = 8 * (3 * A.size + 4 * entries) * entries
+    if polish_bytes > SYSTEM_BYTES_CAP:
+        raise ValueError(f"a search over {entries} mask entries would hold "
+                         f"{polish_bytes} bytes in its polish, cap is {SYSTEM_BYTES_CAP}")
 
     masks = pattern.mask_arrays
     plan = _plan(masks, A.shape)

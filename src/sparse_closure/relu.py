@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .patterns import SupportPattern
+from .patterns import SupportPattern, _integer
 
 DIVERGENCE_NORM = 1e8
 
@@ -210,6 +210,8 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed"):
+            _integer(getattr(self, name), name)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         # chained comparisons are false for NaN, so NaN fails each check

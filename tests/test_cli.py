@@ -775,7 +775,7 @@ def test_every_declared_bound_refuses_the_value_below_it_before_any_input(tmp_pa
     def no_input(*args, **kwargs):
         pytest.fail(f"an input was read before --{dest} was checked")
 
-    monkeypatch.setattr("sparse_closure.cli.load_input", no_input)
+    monkeypatch.setattr("sparse_closure.cli.parsing", no_input)
     actions = subcommands()[command]._actions
     required = [arg for a in actions if a.required for arg in (a.option_strings[0], str(tmp_path / a.dest))]
     option = next(a.option_strings[0] for a in actions if a.dest == dest)

@@ -339,8 +339,31 @@ class TestGrid:
             assert len(points) == grid.cardinality == (p + 1) ** n
             assert len(set(points)) == len(points)
 
+    @pytest.mark.parametrize("name, resolution, dimension", [
+        ("resolution", 2.5, 2), ("resolution", True, 2), ("dimension", 2, 2.5), ("dimension", 2, True),
+    ])
+    def test_a_size_that_is_not_an_integer_is_refused_by_name(self, name, resolution, dimension):
+        # unchecked, Grid(2.5, 2) had cardinality 12.25 and the scan raised TypeError
+        plane = hyperplane([1, 1], Fraction(-3, 2))
+        with pytest.raises(ValueError, match=f"^{name} .* is not an integer$"):
+            Grid(resolution=resolution, dimension=dimension)
+        with pytest.raises(ValueError, match=f"^{name} .* is not an integer$"):
+            find_free_hypercube([plane], resolution, dimension)
+
 
 class TestBuildBadDataset:
+    @pytest.mark.parametrize("p", [2.5, True, float("nan")])
+    def test_a_resolution_that_is_not_an_integer_is_refused(self, p):
+        # unchecked, 2.5 raised AttributeError on bit_length and True built the p = 1 grid
+        with pytest.raises(ValueError, match="^p_override .* is not an integer$"):
+            build_bad_dataset(closure_gap_witness_lu(2), lu_pattern(2), p_override=p)
+
+    def test_a_numpy_integer_resolution_is_read_as_an_int(self):
+        witness = closure_gap_witness_lu(2)
+        got = build_bad_dataset(witness, lu_pattern(2), p_override=np.int64(3))
+        assert got == build_bad_dataset(witness, lu_pattern(2), p_override=3)
+        assert type(got[1]) is int
+
     def test_lu_d2_small_grid(self):
         pattern = lu_pattern(2)
         witness = closure_gap_witness_lu(2)

@@ -199,3 +199,26 @@ def test_a_hidden_layer_too_wide_to_index_exits_4(tmp_path, capsys, argv, width)
     code, err = run(tmp_path, capsys, "pattern.json", document, argv)
     assert code == EXIT_USAGE, err
     assert err == f"error: refusing to index {width} hidden neurons (cap {NEURON_INDEX_CAP}, about 81 bytes each)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--pattern", "{file}", "--out", "{tmp}/out/v.json"],
+    ["emit-smt", "--pattern", "{file}", "--out", "{tmp}/out/s.smt2"],
+    ["gen-dataset", "--pattern", "{file}", "--p", "2", "--out", "{tmp}/out/d"],
+    ["gen-dataset", "--pattern", "{tmp}/lu2.json", "--p", "2", "--a", "{file}", "--out", "{tmp}/out/d"],
+    ["project", "--input", "{file}", "--keep", "1", "--out", "{tmp}/out/o.json"],
+], ids=["check", "emit-smt", "gen-dataset-pattern", "gen-dataset-a", "project"])
+@pytest.mark.parametrize("depth", [1000, 100_000])
+def test_deeply_nested_json_exits_3(tmp_path, capsys, argv, depth):
+    # json.load raises RecursionError on deep nesting, which escaped main as a
+    # traceback with exit 1 (for check: "not closed")
+    (tmp_path / "lu2.json").write_text(json.dumps(pattern_to_json(lu_pattern(2))))
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "nested.json"
+    path.write_text("[" * depth + "]" * depth)
+    code = main([a.format(file=path, tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE_ERROR, captured.err
+    assert captured.err.startswith(f"error: cannot parse {path}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert list((tmp_path / "out").iterdir()) == []

@@ -45,6 +45,16 @@ class TestDeskSpec:
         with pytest.raises(TypeError):
             desk_spec(False, tmp_path, epoch=3)
 
+    @pytest.mark.parametrize("name, value", [
+        ("runs", 2.5), ("runs", True), ("dimension", 2.5),
+        ("num_samples", 100.5), ("num_samples", float("nan")),
+    ])
+    def test_a_count_that_is_not_an_integer_is_refused_by_name(self, tmp_path, name, value):
+        # unchecked, these raised TypeError inside run_experiment, and
+        # runs=True trained one run
+        with pytest.raises(ValueError, match=f"^{name} .* is not an integer$"):
+            desk_spec(False, tmp_path, **{name: value})
+
 
 def test_diverging_runs_are_flagged_without_warnings(tmp_path):
     # with warnings as errors, an overflow mid-epoch would raise instead of

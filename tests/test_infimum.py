@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple, fields
 
@@ -177,6 +179,26 @@ class TestValidation:
         assert got.stats == want.stats and got.stats.restarts == 2
         assert same_bits(got.distance, want.distance)
         assert all(same_bits(a, b) for a, b in zip(got.factors.factors, want.factors.factors))
+
+    def test_the_cap_counts_what_the_polish_holds_at_once(self, monkeypatch):
+        # the cap once counted only the stacked (A + M) x M system, less than
+        # a third of what the polish holds; tracemalloc does not see lstsq's
+        # copy of it or LAPACK's workspace, so its peak is a lower bound
+        pattern = dense_pattern((12, 6, 12))
+        target = np.random.default_rng(0).standard_normal((12, 12))
+        monkeypatch.setattr(infimum, "SYSTEM_BYTES_CAP", 0)
+        with pytest.raises(ValueError, match="cap is 0$") as refusal:
+            infimum_oracle(target, pattern, budget=400)
+        counted = int(re.search(r"(\d+)[- ]byte", str(refusal.value)).group(1))
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            result = infimum_oracle(target, pattern, budget=400, seed=0, restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.stats.polish_calls == 1
+        assert peak < counted
 
 
 class TestFirstFactorPassesThrough:

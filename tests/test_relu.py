@@ -315,6 +315,18 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(**setting)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 2.5), ("epochs", float("nan")), ("epochs", True),
+        ("batch_size", 2.5), ("batch_size", True),
+        ("seed", 1.5), ("seed", float("nan")),
+    ])
+    def test_a_count_that_is_not_an_integer_is_refused_by_name(self, name, value):
+        # unchecked, 2.5 and nan epochs or batches raised TypeError inside
+        # train after the data were drawn, True trained as 1, and a float
+        # seed was accepted
+        with pytest.raises(ValueError, match=f"^{name} .* is not an integer$"):
+            TrainingConfig(**{name: value})
+
 
 class TestSgdStep:
     def test_zero_grad_zero_decay_is_identity(self):
