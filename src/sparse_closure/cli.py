@@ -20,11 +20,12 @@ import functools
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import __version__
-from .closure import DEFAULT_MAX_HIDDEN, Closedness, check_theorem5_conditions, closedness_verdict
+from .closure import DEFAULT_MAX_HIDDEN, Closedness, TooManyMultisets, check_theorem5_conditions
+from .closure import closedness_verdict
 from .datasets import DEFAULT_POINT_CAP, build_bad_dataset, dataset_resolution, write_dataset
 from .patterns import load_pattern
 from .polyhedra import DEFAULT_ROW_CAP, RowCapExceeded, project
@@ -72,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--pattern", required=True, help="pattern JSON file")
     check.add_argument("--emit-smt", metavar="PATH", help="write the solver sentence here when undecided")
     check.add_argument("--max-hidden-enum", type=int, default=DEFAULT_MAX_HIDDEN,
-                       help="cap on N_1 for the 2^N_1 sufficient-condition enumeration (0 skips it)")
+                       help="the sufficient condition decides at most 2^N - 1 hidden signature "
+                       "multisets and lists the subsets only when N_1 <= N (0 skips it)")
     check.add_argument("--verify-witness", action="store_true",
                        help="back a not-closed verdict with the numerical infimum search")
     check.add_argument("--budget", type=int, default=100_000,
@@ -167,15 +169,17 @@ def cmd_check(args) -> int:
             "seed": args.seed,
         }
     report = None
-    if pattern.depth == 2 and pattern.dims[1] <= args.max_hidden_enum:
-        report = check_theorem5_conditions(pattern, max_hidden=args.max_hidden_enum)
+    if pattern.depth == 2:
+        with suppress(TooManyMultisets):
+            report = check_theorem5_conditions(pattern, max_hidden=args.max_hidden_enum)
     payload["sufficient_condition"] = None if report is None else {
         "condition1_full_output_mask": report.condition1_full_output_mask,
-        "subsets": [],
+        # above the cap the subsets are not listed, and the multisets decided are counted
+        **({"subsets": []} if report.subset_verdicts else {"subsets": None, "verdicts": report.verdicts}),
         "holds": report.holds,
     }
     text = json.dumps(payload, indent=1)
-    if report is not None:
+    if report is not None and report.subset_verdicts:
         # json.dumps with indent runs its pure-Python encoder chunk by chunk, so the
         # 2^N_1 - 1 subsets are laid out here as it would, from one tail per (status, rule)
         labels = [str(i + 1) for i in range(pattern.dims[1])]

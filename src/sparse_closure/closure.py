@@ -13,10 +13,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from itertools import product as cartesian_product
 from typing import Optional
 
-from .patterns import SupportPattern, compress_hidden
+from .patterns import SupportPattern, _integer, compress_hidden
 from .rational import RationalMatrix, matrix, rank, submatrix
 
 
@@ -31,9 +32,13 @@ RULE_SINGLE_LAYER = "single-layer-coordinate-subspace"
 RULE_DISJOINT_BLOCKS = "disjoint-rank-one-blocks"
 RULE_LU_GAP = "lu-antidiagonal-gap"
 
-# the sufficient condition enumerates 2^N_1 hidden subsets; wider patterns
-# are refused unless the caller raises the cap
+# the sufficient condition decides at most 2^16 - 1 signature multisets and
+# lists the subsets only when N_1 <= 16, unless the caller raises the cap
 DEFAULT_MAX_HIDDEN = 16
+
+
+class TooManyMultisets(ValueError):
+    """The hidden subsets' signature multisets outnumber 2^max_hidden - 1."""
 
 
 @dataclass(frozen=True)
@@ -160,13 +165,17 @@ class SufficiencyReport:
 
     condition1: the output-layer mask is full.
     subset_verdicts: closedness of the factorization set restricted to every
-    nonempty hidden subset, in deterministic (size, lexicographic) order.
+    nonempty hidden subset, in deterministic (size, lexicographic) order;
+    empty when N_1 is above the cap, where the subsets are not listed.
     holds: condition1 and every subset verdict is Closed.
+    verdicts: how many closedness verdicts were computed, one per distinct
+    multiset of signatures that a nonempty hidden subset carries.
     """
 
     condition1_full_output_mask: bool
     subset_verdicts: tuple[SubsetVerdict, ...]
     holds: bool
+    verdicts: int
 
 
 def check_theorem5_conditions(
@@ -174,34 +183,53 @@ def check_theorem5_conditions(
 ) -> SufficiencyReport:
     """Evaluate the two-part sufficient condition for a two-layer pattern.
 
-    Enumerates all 2^{N_1} - 1 nonempty hidden subsets, so N_1 is capped
-    (default DEFAULT_MAX_HIDDEN, override consciously).  Each subset's
-    pattern is compressed onto its hidden neurons, which drops every
-    connection through the others, before the rule dispatch; a subset whose
-    neurons have disjoint rank-one supports is closed by rule 2 of
-    closedness_verdict.  The pattern's hidden_neurons index is built once;
-    each compressed subset holds its kept neurons' (R_k, C_k) pairs in
-    place of masks, and its verdict reads only those pairs, so a subset
-    costs what those neurons carry.  Its verdict is a function of the
-    multiset of those pairs: subsets whose kept neurons carry the same
-    signatures, in any order, get the same verdict.
+    A subset's verdict depends only on the multiset of its kept neurons'
+    signatures (R_k, C_k) (see closedness_verdict), so each multiset is
+    decided once, on its first subset in (size, lexicographic) order (the
+    first c_g neurons of each signature g), compressed onto those neurons.
+    N_1 neurons, m_g of signature g, carry prod(m_g + 1) - 1 multisets (N_1
+    when dense); more than 2^max_hidden - 1 are refused with
+    TooManyMultisets before any verdict.  The subsets are listed only when
+    N_1 <= max_hidden; holds is read from the multisets either way.
     """
     if pattern.depth != 2:
         raise ValueError("the sufficient condition applies to two-layer patterns")
+    max_hidden = _integer(max_hidden, "max_hidden")
     n1 = pattern.dims[1]
-    if n1 > max_hidden:
-        raise ValueError(
-            f"refusing to enumerate 2^{n1} hidden subsets (cap {max_hidden}); "
-            "raise max_hidden explicitly to force it"
+    groups = {}  # signature -> its neurons in index order, signatures in first-seen order
+    # prod(m_g + 1) - 1 >= N_1, so a layer that alone passes the cap is
+    # refused without grouping its signatures
+    if n1.bit_length() <= max_hidden:
+        for k, signature in enumerate(pattern.hidden_neurons):
+            groups.setdefault(signature, []).append(k)
+    # a subset's key is its count vector (c_g) in mixed radix (m_g + 1), the
+    # last signature's digit lowest, so cartesian_product lists keys in order;
+    # the cap is checked on the partial product, never building 2^max_hidden
+    place, keys = {}, 1 if groups else n1 + 1
+    for signature, members in reversed(groups.items()):
+        place[signature] = keys
+        keys *= len(members) + 1
+        if (keys - 1).bit_length() > max_hidden:
+            break
+    if (keys - 1).bit_length() > max_hidden:
+        raise TooManyMultisets(
+            f"refusing to decide the {n1} hidden neurons' signature multisets: "
+            f"more than 2^{max_hidden} - 1 (cap {max_hidden}); raise max_hidden explicitly to force it"
         )
+    decided = []  # (status, rule) by key, from key 1: key 0 is the empty subset
+    for counts in islice(cartesian_product(*[range(len(m) + 1) for m in groups.values()]), 1, None):
+        kept = [k for members, c in zip(groups.values(), counts) for k in members[:c]]
+        v = closedness_verdict(compress_hidden(pattern, kept))
+        decided.append((v.status, v.rule))
+    listed = ()
+    if n1 <= max_hidden:
+        digits = [place[signature] for signature in pattern.hidden_neurons]
+        listed = tuple([SubsetVerdict(subset, *decided[sum([digits[k] for k in subset]) - 1])
+                        for size in range(1, n1 + 1) for subset in combinations(range(n1), size)])
     condition1 = pattern.is_full(1)
-    verdicts = []
-    for size in range(1, n1 + 1):
-        for subset in combinations(range(n1), size):
-            v = closedness_verdict(compress_hidden(pattern, subset))
-            verdicts.append(SubsetVerdict(hidden=subset, status=v.status, rule=v.rule))
     return SufficiencyReport(
         condition1_full_output_mask=condition1,
-        subset_verdicts=tuple(verdicts),
-        holds=condition1 and all(v.status is Closedness.CLOSED for v in verdicts),
+        subset_verdicts=listed,
+        holds=condition1 and all(status is Closedness.CLOSED for status, _ in decided),
+        verdicts=len(decided),
     )

@@ -34,9 +34,9 @@ _STALL_ROUNDS = 12
 _STALL_RTOL = 1e-2
 
 # The polish solves an (N_L*N_0 + M) x M float64 system over the M mask
-# entries.  At once it holds the M x M identity, its damped copy, the
-# (N_L*N_0) x M Jacobian, the stacked system and lstsq's copy of it: at most
-# 3*N_L*N_0*M + 4*M^2 floats, more than any other step of a search.  A search
+# entries.  At once it holds that system, one factor's (N_L*N_0) x M_i block
+# of the Jacobian on its way in, and lstsq's copy of the system: at most
+# 3*N_L*N_0*M + 2*M^2 floats, more than any other step of a search.  A search
 # whose polish would pass this many bytes (the budget of
 # experiments.RESIDENT_BYTES_CAP) is refused before anything is allocated.
 SYSTEM_BYTES_CAP = 2**30
@@ -106,7 +106,7 @@ def infimum_oracle(
     if restarts < 1:
         raise ValueError("need at least one restart")
     entries = sum(pattern.mask_sizes())
-    polish_bytes = 8 * (3 * A.size + 4 * entries) * entries
+    polish_bytes = 8 * (3 * A.size + 2 * entries) * entries
     if polish_bytes > SYSTEM_BYTES_CAP:
         raise ValueError(f"a search over {entries} mask entries would hold "
                          f"{polish_bytes} bytes in its polish, cap is {SYSTEM_BYTES_CAP}")
@@ -302,16 +302,19 @@ def _polish(A, xs, plan, budget, counts):
     resid = (A - chain_product(xs)).ravel()
     dist = _norm(resid)
     n = sum(len(entry.rows) for entry in plan)
-    eye = np.eye(n)
-    zeros = np.zeros(n)
+    # the damped system [J; sqrt(damping) I] step = [resid; 0], written in
+    # place each step: its lower block is zero off the diagonal
+    system, rhs = np.zeros((A.size + n, n)), np.zeros(A.size + n)
+    diagonal = system[A.size :].reshape(-1)[:: n + 1]
     last_best, stall, damping = dist, 0, 1e-3
     for _ in range(max(budget // len(xs), 2)):
-        jac = np.hstack([_design(xs, i, entry, A.shape) for i, entry in enumerate(plan)])
-        step, *_ = np.linalg.lstsq(
-            np.vstack([jac, np.sqrt(damping) * eye]),
-            np.concatenate([resid, zeros]),
-            rcond=None,
-        )
+        start = 0
+        for i, entry in enumerate(plan):
+            system[: A.size, start : start + len(entry.rows)] = _design(xs, i, entry, A.shape)
+            start += len(entry.rows)
+        diagonal[:] = np.sqrt(damping)
+        rhs[: A.size] = resid
+        step, *_ = np.linalg.lstsq(system, rhs, rcond=None)
         cand = [x.copy() for x in xs]
         start = 0
         for x, entry in zip(cand, plan):

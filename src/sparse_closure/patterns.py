@@ -237,6 +237,8 @@ def _hidden_subset(pattern: SupportPattern, hidden: Iterable[int], operation: st
 def _integer(value, name: str) -> int:
     # an int, or a numpy integer through operator.index; a bool, or a float
     # such as 1.5 or nan, is refused with a ValueError naming what it is
+    if type(value) is int:  # the common case, and never a bool
+        return value
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} {value!r} is not an integer")
     return operator.index(value)

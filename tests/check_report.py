@@ -12,7 +12,15 @@ from sparse_closure.rational import format_matrix
 
 
 def report_to_json(report) -> dict:
-    """The sufficient-condition object, with 1-based hidden indices."""
+    """The sufficient-condition object, with 1-based hidden indices; when no
+    subset is listed (N_1 above the cap), the number of multisets decided."""
+    if not report.subset_verdicts:
+        return {
+            "condition1_full_output_mask": report.condition1_full_output_mask,
+            "subsets": None,
+            "verdicts": report.verdicts,
+            "holds": report.holds,
+        }
     return {
         "condition1_full_output_mask": report.condition1_full_output_mask,
         "subsets": [

@@ -28,6 +28,7 @@ from sparse_closure.closure import (
     ClosednessVerdict,
     SubsetVerdict,
     SufficiencyReport,
+    TooManyMultisets,
     check_theorem5_conditions,
     closedness_verdict,
     closure_gap_witness_lu,
@@ -172,13 +173,16 @@ def check_reports(draw):
     status_rule = st.tuples(st.sampled_from(Closedness), st.one_of(st.sampled_from(RULES), st.text(max_size=3)))
     subsets = [SubsetVerdict(hidden, *draw(status_rule))
                for size in range(1, n1 + 1) for hidden in combinations(range(n1), size)]
+    # enumerated; decided with N1 above the cap, its subsets not listed; or
+    # null because the multisets are above the cap or the pattern is deeper
+    sufficient = draw(st.sampled_from(["enumerated", "above", "capped", "deep"]))
     return SimpleNamespace(
         n1=n1,
         verdict=ClosednessVerdict(draw(st.sampled_from(Closedness)), draw(st.sampled_from(RULES)),
                                   draw(st.none() | witnesses)),
-        report=SufficiencyReport(draw(st.booleans()), tuple(subsets), draw(st.booleans())),
-        # enumerated, or null because N1 is above the cap or the pattern is deeper
-        sufficient=draw(st.sampled_from(["enumerated", "capped", "deep"])),
+        report=SufficiencyReport(draw(st.booleans()), () if sufficient == "above" else tuple(subsets),
+                                 draw(st.booleans()), draw(st.integers(1, 2**16 - 1))),
+        sufficient=sufficient,
         emit=draw(st.none() | st.just(AWKWARD_PATH) | st.text(max_size=8)),
         search=draw(st.none() | st.tuples(any_float, any_float, st.integers(1, 10**6), st.integers(0, 99))),
     )
@@ -196,7 +200,7 @@ class TestCheckReportWriter:
         f = write_pattern(tmp_path / "p.json", dense_pattern(dims))
         out = tmp_path / "verdict.json"
         argv = ["check", "--pattern", f, "--out", str(out)]
-        if case.sufficient == "capped":
+        if case.sufficient in ("above", "capped"):
             argv += ["--max-hidden-enum", str(case.n1 - 1)]
         if case.emit is not None:
             argv.append(f"--emit-smt={case.emit}")
@@ -206,9 +210,14 @@ class TestCheckReportWriter:
             argv += ["--verify-witness", "--budget", str(budget), "--seed", str(seed)]
             if case.verdict.witness is not None:
                 verification = {"distance": distance, "max_factor_norm": norm, "budget": budget, "seed": seed}
+        def theorem5(pattern, max_hidden):
+            if case.sufficient == "capped":
+                raise TooManyMultisets("refusing to decide the signature multisets")
+            return case.report
+
         with monkeypatch.context() as m:
             m.setattr(cli, "closedness_verdict", lambda pattern: case.verdict)
-            m.setattr(cli, "check_theorem5_conditions", lambda pattern, max_hidden: case.report)
+            m.setattr(cli, "check_theorem5_conditions", theorem5)
             m.setattr(cli, "emit_qe_sentence", lambda pattern, path: None)
             m.setattr(infimum, "infimum_oracle",
                       lambda *args, **kwargs: SimpleNamespace(distance=distance, max_factor_norm=norm))
@@ -218,7 +227,7 @@ class TestCheckReportWriter:
             case.verdict,
             sentence_path=case.emit if unknown else None,
             verification=verification,
-            report=case.report if case.sufficient == "enumerated" else None,
+            report=case.report if case.sufficient in ("enumerated", "above") else None,
         ) + "\n"
         assert code == EXIT_VERDICT[case.verdict.status]
         assert capsys.readouterr().out == expected
@@ -797,6 +806,36 @@ def test_declared_bounds_name_options_of_their_subcommand():
 def test_zero_max_hidden_enum_skips_the_enumeration(lu2_file, capsys):
     assert main(["check", "--pattern", lu2_file, "--max-hidden-enum", "0"]) == 1
     assert json.loads(capsys.readouterr().out)["sufficient_condition"] is None
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 2), (5, 400, 4)])
+def test_zero_max_hidden_enum_allows_no_multiset(tmp_path, capsys, monkeypatch, dims):
+    monkeypatch.setattr(closure, "closedness_verdict", lambda child: pytest.fail("a subset verdict"))
+    f = write_pattern(tmp_path / "dense.json", dense_pattern(dims))
+    assert main(["check", "--pattern", f, "--max-hidden-enum", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["sufficient_condition"] is None
+
+
+def test_a_dense_pattern_past_the_old_cap_is_decided_without_listing(tmp_path, capsys):
+    # one signature, so 400 multisets where 2^400 - 1 subsets would be listed
+    f = write_pattern(tmp_path / "dense.json", dense_pattern((5, 400, 4)))
+    assert main(["check", "--pattern", f]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["sufficient_condition"] == {
+        "condition1_full_output_mask": True, "subsets": None, "verdicts": 400, "holds": True}
+    assert out.endswith('"sufficient_condition": {\n  "condition1_full_output_mask": true,\n  '
+                        '"subsets": null,\n  "verdicts": 400,\n  "holds": true\n }\n}\n')
+
+
+def test_too_many_multisets_print_a_null_condition(tmp_path, capsys):
+    # 12 neurons with distinct signatures carry 2^12 - 1 multisets
+    pattern = SupportPattern((12, 12, 1), (frozenset((k, k) for k in range(12)),
+                                            frozenset((0, k) for k in range(12))))
+    f = write_pattern(tmp_path / "distinct.json", pattern)
+    assert main(["check", "--pattern", f, "--max-hidden-enum", "11"]) == 0
+    assert json.loads(capsys.readouterr().out)["sufficient_condition"] is None
+    assert main(["check", "--pattern", f]) == 0
+    assert len(json.loads(capsys.readouterr().out)["sufficient_condition"]["subsets"]) == 2**12 - 1
 
 
 @pytest.mark.parametrize("calls", [

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from functools import cached_property
 from itertools import permutations
@@ -6,16 +7,19 @@ import numpy as np
 import pytest
 import compress_reference
 import lu_reference
+import theorem5_reference
 from atlas import atlas
 from block_reference import bit_indices, butterfly_pattern
 from check_report import report_to_json
 
 from sparse_closure import closure, patterns
 from sparse_closure.closure import (
+    DEFAULT_MAX_HIDDEN,
     RULE_DISJOINT_BLOCKS,
     RULE_LU_GAP,
     Closedness,
     ClosednessVerdict,
+    TooManyMultisets,
     _disjoint_blocks,
     check_theorem5_conditions,
     closedness_verdict,
@@ -26,6 +30,7 @@ from sparse_closure.patterns import (
     SupportPattern,
     compress_hidden,
     dense_pattern,
+    full_mask,
     lu_pattern,
     validate_pattern,
 )
@@ -176,15 +181,20 @@ class TestSufficientCondition:
         with monkeypatch.context() as m:
             m.setattr(closure, "closedness_verdict", watched)
             report = check_theorem5_conditions(pattern)
-        assert seen == {"masks before": 0, "masks after": 0, "verdicts": 4095}
+        # one verdict per signature multiset: the 12 neurons' signatures
+        # differ here, so each of the 4095 subsets carries its own
+        assert seen == {"masks before": 0, "masks after": 0, "verdicts": multiset_count(pattern)}
         with monkeypatch.context() as m:
             m.setattr(closure, "compress_hidden", compress_reference.compress_hidden)
             reference = check_theorem5_conditions(pattern)
         assert report_to_json(report) == report_to_json(reference)
 
     def test_hidden_cap_refuses(self):
+        # 17 neurons with distinct signatures carry 2^17 - 1 multisets
+        distinct = SupportPattern((17, 17, 1), (frozenset((k, k) for k in range(17)),
+                                                frozenset((0, k) for k in range(17))))
         with pytest.raises(ValueError, match="refusing"):
-            check_theorem5_conditions(dense_pattern((2, 17, 2)))
+            check_theorem5_conditions(distinct)
 
     def test_depth_requirement(self):
         with pytest.raises(ValueError, match="two-layer"):
@@ -195,6 +205,127 @@ class TestSufficientCondition:
         data = report_to_json(report)
         assert set(data) == {"condition1_full_output_mask", "subsets", "holds"}
         assert data["subsets"][0]["hidden"] == [1]  # 1-based externally
+
+
+def bench_enum_patterns(seed, r):
+    """The enum patterns of certify round r at this seed, drawn as
+    bench/workloads.py draws them: N1 = 8..13, dense with odds 1/3."""
+    rng = np.random.default_rng([seed, r])
+    for n1 in range(8, 14):
+        dims = (int(rng.integers(3, 6)), n1, int(rng.integers(1, 5)))
+        density = 1.0 if rng.random() < 1 / 3 else rng.uniform(0.4, 0.8)
+        masks = [rng.random((dims[i + 1], dims[i])) < density for i in range(2)]
+        yield SupportPattern(dims, tuple(frozenset((int(a), int(b)) for a, b in zip(*np.nonzero(m)))
+                                         for m in masks))
+
+
+def repeated_signature_pattern(rng, n1):
+    """A two-layer pattern whose N1 neurons share a few random signatures,
+    in shuffled order, so most subsets share their multiset with others."""
+    n0, n2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    kinds = [(int(rng.integers(0, 2**n2)), int(rng.integers(0, 2**n0))) for _ in range(int(rng.integers(1, 4)))]
+    neurons = [kinds[int(rng.integers(len(kinds)))] for _ in range(n1)]
+    first = frozenset((k, c) for k, (_, cols) in enumerate(neurons) for c in range(n0) if cols >> c & 1)
+    second = frozenset((r, k) for k, (rows, _) in enumerate(neurons) for r in range(n2) if rows >> r & 1)
+    return SupportPattern((n0, n1, n2), (first, second))
+
+
+def multiset_count(pattern):
+    count = 1
+    for m in Counter(pattern.hidden_neurons).values():
+        count *= m + 1
+    return count - 1
+
+
+DIFFERENTIAL_PANELS = {
+    "bench-enum": lambda: [p for seed in (1, 2, 3) for r in (0, 1, 2) for p in bench_enum_patterns(seed, r)],
+    "random": lambda: [SupportPattern(dims, (random_mask(rng, dims[1], dims[0], density),
+                                             random_mask(rng, dims[2], dims[1], density)))
+                       for rng in [np.random.default_rng(34)]
+                       for dims in [(3, 6, 2), (4, 9, 4), (2, 11, 3), (5, 12, 1)]
+                       for density in (0.3, 0.6, 0.9)],
+    "dense": lambda: [dense_pattern(dims) for dims in [(1, 1, 1), (2, 5, 2), (4, 12, 3), (2, 16, 2)]],
+    "butterfly": lambda: [butterfly_pattern(p) for p in (2, 3, 4)],
+    "lu": lambda: [lu_pattern(d) for d in (2, 3, 4)],
+    "repeated": lambda: [repeated_signature_pattern(np.random.default_rng([34, n1]), n1)
+                         for n1 in (1, 2, 5, 8, 11, 14, 16)],
+}
+
+
+class TestSignatureMultisets:
+    @pytest.mark.parametrize("panel", DIFFERENTIAL_PANELS)
+    def test_report_equals_one_verdict_per_subset(self, monkeypatch, panel):
+        # each multiset is decided once, and every subset that carries it
+        # is listed with that verdict, as the per-subset loop lists it
+        for pattern in DIFFERENTIAL_PANELS[panel]():
+            reference = theorem5_reference.check_theorem5_conditions(pattern)
+            seen = Counter()
+            verdict = closure.closedness_verdict
+
+            def counted(child):
+                seen[frozenset(Counter(child.hidden_neurons).items())] += 1
+                return verdict(child)
+
+            with monkeypatch.context() as m:
+                m.setattr(closure, "closedness_verdict", counted)
+                report = check_theorem5_conditions(pattern)
+            assert report_to_json(report) == report_to_json(reference), pattern
+            assert report.holds is reference.holds
+            assert report.verdicts == len(seen) == multiset_count(pattern) == sum(seen.values())
+
+    def test_dense_patterns_past_the_old_cap_are_decided(self):
+        start = time.perf_counter()
+        report = check_theorem5_conditions(dense_pattern((5, 400, 4)))
+        assert time.perf_counter() - start < 1.0
+        assert (report.holds, report.verdicts, report.subset_verdicts) == (True, 400, ())
+        report = check_theorem5_conditions(dense_pattern((2, 17, 2)))
+        assert (report.holds, report.verdicts, report.subset_verdicts) == (True, 17, ())
+
+    def test_above_the_cap_holds_is_read_from_the_multisets(self):
+        # a second signature that overlaps the dense one: every subset
+        # holding both is undecided, and the report says so without listing
+        pattern = SupportPattern((2, 17, 2), (full_mask(17, 2), full_mask(2, 17) - {(0, 16)}))
+        report = check_theorem5_conditions(pattern)
+        assert (report.holds, report.verdicts, report.subset_verdicts) == (False, 17 * 2 - 1, ())
+        listed = check_theorem5_conditions(pattern, max_hidden=17)
+        assert listed.verdicts == report.verdicts and len(listed.subset_verdicts) == 2**17 - 1
+        assert {sv.status for sv in listed.subset_verdicts} == {Closedness.CLOSED, Closedness.UNKNOWN}
+
+    @pytest.mark.parametrize("pattern, max_hidden", [
+        (dense_pattern((2, 17, 2)), 4),  # 17 multisets against 15
+        (dense_pattern((2, 1, 2)), 0),
+        (lu_pattern(3), 2),  # 7 multisets against 3
+        (SupportPattern((3, 10**6, 2), (frozenset(), frozenset())), DEFAULT_MAX_HIDDEN),
+    ])
+    def test_too_many_multisets_are_refused_before_any_verdict(self, monkeypatch, pattern, max_hidden):
+        def no_verdict(child):
+            pytest.fail("a verdict was computed")
+
+        monkeypatch.setattr(closure, "closedness_verdict", no_verdict)
+        with pytest.raises(TooManyMultisets, match=f"refusing .* \\(cap {max_hidden}\\)"):
+            check_theorem5_conditions(pattern, max_hidden=max_hidden)
+
+    def test_a_layer_wider_than_the_cap_is_refused_before_its_index_is_built(self):
+        # each single neuron is a multiset, so 2^16 neurons are too many unread
+        pattern = SupportPattern((1, 2**16, 1), (frozenset(), frozenset()))
+        with pytest.raises(TooManyMultisets, match="refusing to decide the 65536 hidden neurons'"):
+            check_theorem5_conditions(pattern)
+        assert "hidden_neurons" not in vars(pattern)
+
+    def test_a_cap_far_above_the_pattern_builds_no_power_of_it(self):
+        report = check_theorem5_conditions(dense_pattern((2, 3, 2)), max_hidden=10**18)
+        assert report == check_theorem5_conditions(dense_pattern((2, 3, 2)))
+        assert report.verdicts == 3 and len(report.subset_verdicts) == 7
+        report = check_theorem5_conditions(dense_pattern((2, 3, 2)), max_hidden=np.int64(2))
+        assert (report.verdicts, report.subset_verdicts) == (3, ())
+
+    @pytest.mark.parametrize("max_hidden", [float("nan"), 2.5, 16.0, True, "16", None])
+    def test_a_cap_that_is_not_an_integer_is_refused(self, monkeypatch, max_hidden):
+        # nan once listed every subset of any pattern (n1 > nan is false),
+        # and True capped at 1 with the message "cap True"
+        monkeypatch.setattr(closure, "closedness_verdict", lambda child: pytest.fail("a verdict"))
+        with pytest.raises(ValueError, match="^max_hidden .* is not an integer$"):
+            check_theorem5_conditions(dense_pattern((2, 3, 2)), max_hidden=max_hidden)
 
 
 class TestDisjointBlocks:

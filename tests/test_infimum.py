@@ -200,6 +200,18 @@ class TestValidation:
         assert result.stats.polish_calls == 1
         assert peak < counted
 
+    def test_the_cap_admits_lu71_and_refuses_lu72(self, monkeypatch):
+        # the polish holds neither identity, so the cap counts
+        # 8*(3*N_L*N_0*M + 2*M^2) bytes; lu(71) is the largest lu(d) under 2^30
+        def no_design(*args):
+            raise RuntimeError("the search started")
+
+        monkeypatch.setattr(infimum, "_design", no_design)
+        with pytest.raises(RuntimeError, match="the search started"):
+            infimum_oracle(np.eye(71), lu_pattern(71), budget=10)
+        with pytest.raises(ValueError, match="^a search over 5256 mask entries would hold 1095939072 bytes"):
+            infimum_oracle(np.eye(72), lu_pattern(72), budget=10)
+
 
 class TestFirstFactorPassesThrough:
     def test_extrapolation_moves_only_the_factors_the_next_sweep_reads(self, monkeypatch):
@@ -406,3 +418,17 @@ class TestAgainstReference:
         # one identity per side of the product, one damping identity per polish
         assert calls["eye"] <= 2 + result.stats.polish_calls
         assert calls["norm"] == 0
+
+    def test_the_polish_builds_no_identity_and_stacks_nothing(self, monkeypatch):
+        # the damped system is allocated once per polish and written in place
+        calls = Counter()
+        for name in ("eye", "vstack", "hstack"):
+            def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        target = np.random.default_rng(0).standard_normal((12, 12))
+        result = infimum_oracle(target, dense_pattern((12, 6, 12)), budget=400, seed=0, restarts=1)
+        assert result.stats.polish_calls == 1 and result.stats.polish_evaluations > 1
+        # one identity per side of the product, built by the plan
+        assert calls == {"eye": 2}

@@ -1,9 +1,11 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from sparse_closure import patterns
 from sparse_closure.closure import Closedness, closedness_verdict, closure_gap_witness_lu
 from sparse_closure.patterns import (
     SparseFactors,
@@ -272,6 +274,19 @@ class TestCompressHidden:
         pattern = lu_pattern(3)
         assert operation(pattern, np.array([2, 0])) == operation(pattern, [0, 2])
         assert operation(pattern, [np.int8(1), np.uint64(1)]) == operation(pattern, (1,))
+
+    @pytest.mark.parametrize("operation", [compress_hidden, restrict_to_hidden])
+    def test_plain_int_indices_skip_the_index_protocol(self, monkeypatch, operation):
+        # an exact int is returned as it is; only other types go through
+        # operator.index, which this stub refuses
+        def no_index(value):
+            pytest.fail(f"operator.index({value!r}) was called")
+
+        reference = operation(lu_pattern(3), [0, 2])
+        monkeypatch.setattr(patterns, "operator", SimpleNamespace(index=no_index))
+        assert operation(lu_pattern(3), [2, 0]) == reference
+        with pytest.raises(ValueError, match="^hidden index True is not an integer$"):
+            operation(lu_pattern(3), [True])
 
     @pytest.mark.parametrize("hidden", [[5], [-1], [0, 2]], ids=["past-the-end", "negative", "one-of-two"])
     def test_out_of_range_subset_refused_as_restriction_refuses_it(self, hidden):
